@@ -72,14 +72,25 @@ _REFUSALS = (
 )
 
 
+def _budget(text: str) -> int:
+    """A resource budget: a non-negative integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _env_max_spairs() -> Optional[int]:
     raw = os.environ.get("KELLER_MAX_SPAIRS")
     if raw is None:
         return None
     try:
-        return int(raw)
-    except ValueError:
-        return None
+        return _budget(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"KELLER_MAX_SPAIRS {exc}") from None
 
 
 def _caps(args) -> dict:
@@ -565,9 +576,9 @@ def _add_map_args(sub) -> None:
 
 def _add_shared(sub) -> None:
     sub.add_argument("--json", metavar="PATH", help="write a JSON report to PATH")
-    sub.add_argument("--max-spairs", type=int, default=None,
+    sub.add_argument("--max-spairs", type=_budget, default=None,
                      help="S-pair budget for basis computations")
-    sub.add_argument("--max-degree", type=int, default=None,
+    sub.add_argument("--max-degree", type=_budget, default=None,
                      help="intermediate degree cap for basis computations")
 
 
@@ -665,7 +676,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (ParseError, UnknownVariableError) as exc:
+    except (ParseError, UnknownVariableError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _REFUSALS as exc:

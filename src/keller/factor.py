@@ -5,6 +5,9 @@ point on the second variable, factor the resulting univariate integer
 polynomial, Hensel-lift that split back to a factorization over Q[[y]] to
 enough precision, then recombine subsets by trial division. Non-monic
 inputs are handled with the usual leading-coefficient substitution trick.
+Dense univariate arithmetic (over Z, Q and Z/m) and the subset
+recombination loop live in `univariate.py`; this module only adds the
+y-adic `Rep` arithmetic of the lift and the trial division by polynomials.
 
 On top of that sit the maps-level checks: does each irreducible factor of
 v keep a single irreducible image under f, are all unit generators of the
@@ -14,7 +17,7 @@ for factorial closedness of the image subalgebra.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,12 +110,6 @@ def _squarefree_rec(f: Polynomial) -> List[Tuple[Polynomial, int]]:
 Rep = List[Dict[int, Fraction]]
 
 
-def _rep_strip(a: Rep) -> Rep:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _rep_from_poly(p: Polynomial, xi: int, yi: int, m: int) -> Rep:
     out: Rep = []
     for exps, c in p.terms.items():
@@ -125,7 +122,7 @@ def _rep_from_poly(p: Polynomial, xi: int, yi: int, m: int) -> Rep:
     for row in out:
         for k in [k for k, v in row.items() if not v]:
             del row[k]
-    return _rep_strip(out)
+    return uni.strip(out)
 
 
 def _rep_to_poly(a: Rep, context: VarContext, xi: int, yi: int) -> Polynomial:
@@ -170,7 +167,7 @@ def _rep_mul(a: Rep, b: Rep, m: int) -> Rep:
         for i2, r2 in enumerate(b):
             if r2:
                 _row_addto(out[i1 + i2], _row_mul(r1, r2, m), 1)
-    return _rep_strip(out)
+    return uni.strip(out)
 
 
 def _rep_add(a: Rep, b: Rep, sign: int = 1) -> Rep:
@@ -179,12 +176,12 @@ def _rep_add(a: Rep, b: Rep, sign: int = 1) -> Rep:
         out.append({})
     for i, r in enumerate(b):
         _row_addto(out[i], r, sign)
-    return _rep_strip(out)
+    return uni.strip(out)
 
 
 def _rep_trunc(a: Rep, m: int) -> Rep:
     out = [{j: c for j, c in row.items() if j < m} for row in a]
-    return _rep_strip(out)
+    return uni.strip(out)
 
 
 def _rep_divmod_monic(f: Rep, g: Rep, m: int) -> Tuple[Rep, Rep]:
@@ -192,7 +189,7 @@ def _rep_divmod_monic(f: Rep, g: Rep, m: int) -> Tuple[Rep, Rep]:
     rem = [dict(r) for r in f]
     dg = len(g) - 1
     if len(rem) <= dg:
-        return [], _rep_strip(rem)
+        return [], uni.strip(rem)
     q: Rep = [dict() for _ in range(len(rem) - dg)]
     for k in range(len(rem) - 1 - dg, -1, -1):
         lead = rem[k + dg] if k + dg < len(rem) else {}
@@ -202,83 +199,12 @@ def _rep_divmod_monic(f: Rep, g: Rep, m: int) -> Tuple[Rep, Rep]:
         for i, gi in enumerate(g):
             if gi:
                 _row_addto(rem[k + i], _row_mul(lead, gi, m), -1)
-    return _rep_strip(q), _rep_strip(_rep_trunc(rem, m))
+    return uni.strip(q), _rep_trunc(rem, m)
 
 
-def _rep_mod_y(a: Rep) -> List[Fraction]:
-    out = [row.get(0, Fraction(0)) for row in a]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _rep_const(c: Fraction) -> Rep:
-    return [{0: c}] if c else []
-
-
-def _uni_from_ints(f: Sequence[int]) -> Rep:
-    return _rep_strip([({0: Fraction(c)} if c else {}) for c in f])
-
-
-# univariate arithmetic over Q for the Bezout seed
-
-
-def _q_strip(f: List[Fraction]) -> List[Fraction]:
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _q_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _q_strip(out)
-
-
-def _q_divmod(a, b):
-    r = list(a)
-    db = len(b) - 1
-    inv = 1 / b[-1]
-    q = [Fraction(0)] * max(len(r) - db, 0)
-    while _q_strip(r) and len(r) - 1 >= db:
-        k = len(r) - 1 - db
-        c = r[-1] * inv
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[k + i] -= c * bc
-        _q_strip(r)
-    return _q_strip(q), r
-
-
-def _q_xgcd(f, g):
-    """(s, t) with s*f + t*g = 1 for coprime univariate rationals."""
-    r0, r1 = list(f), list(g)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _q_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _q_sub(s0, _q_mul(q, s1))
-        t0, t1 = t1, _q_sub(t0, _q_mul(q, t1))
-    if len(r0) != 1:
-        raise InternalInconsistencyError("expected coprime seed factors")
-    inv = 1 / r0[0]
-    return [c * inv for c in s0], [c * inv for c in t0]
-
-
-def _q_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _q_strip(out)
+def _rep_from_list(f: Sequence) -> Rep:
+    """The Rep of a dense univariate list (ints or Fractions), constant in y."""
+    return uni.strip([({0: Fraction(c)} if c else {}) for c in f])
 
 
 def _lift_pair(F: Rep, g: Rep, h: Rep, s: Rep, t: Rep, m: int):
@@ -292,7 +218,7 @@ def _lift_pair(F: Rep, g: Rep, h: Rep, s: Rep, t: Rep, m: int):
         h = _rep_trunc(_rep_add(h, r), nxt)
         b = _rep_add(
             _rep_add(_rep_mul(s, g, nxt), _rep_mul(t, h, nxt)),
-            _rep_const(Fraction(-1)),
+            _rep_from_list([-1]),
         )
         b = _rep_trunc(b, nxt)
         c, d = _rep_divmod_monic(_rep_mul(s, b, nxt), h, nxt)
@@ -313,15 +239,8 @@ def _lift_tree(F: Rep, parts: List[List[int]], m: int) -> List[Rep]:
     h0 = [1]
     for piece in parts[k:]:
         h0 = uni.mul(h0, piece)
-    s, t = _q_xgcd([Fraction(c) for c in g0], [Fraction(c) for c in h0])
-    g, h = _lift_pair(
-        F,
-        _uni_from_ints(g0),
-        _uni_from_ints(h0),
-        _rep_strip([({0: c} if c else {}) for c in s]),
-        _rep_strip([({0: c} if c else {}) for c in t]),
-        m,
-    )
+    s, t = uni._xgcd_q(g0, h0)
+    g, h = _lift_pair(F, *map(_rep_from_list, (g0, h0, s, t)), m)
     return _lift_tree(g, parts[:k], m) + _lift_tree(h, parts[k:], m)
 
 
@@ -336,9 +255,7 @@ def _factor_univariate_image(f: Polynomial, name: str) -> List[Polynomial]:
     coeffs = [Fraction(0)] * (d + 1)
     for exps, c in f.terms.items():
         coeffs[exps[vi]] = c
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
     _, parts = uni.factor(ints)
     out = []
@@ -351,12 +268,6 @@ def _factor_univariate_image(f: Polynomial, name: str) -> List[Polynomial]:
                 terms[tuple(e)] = Fraction(c)
         out.extend([Polynomial(ctx, terms).normalized()] * mult)
     return out
-
-
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def _eval_y(rep_poly: Polynomial, xi: int, yi: int, c: int) -> List[int]:
@@ -443,31 +354,19 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
 
     lifted = _lift_tree(_rep_from_poly(fshift, xi, yi, m), seed_parts, m)
 
-    remaining = fshift
-    found: List[Polynomial] = []
-    idx = list(range(len(lifted)))
-    size = 1
-    while 2 * size <= len(idx):
-        hit = None
-        for combo in itertools.combinations(idx, size):
-            cand = _rep_const(Fraction(1))
-            for i in combo:
-                cand = _rep_mul(cand, lifted[i], m)
-            if any(c.denominator != 1 for row in cand for c in row.values()):
-                continue
-            cpoly = _rep_to_poly(cand, ctx, xi, yi)
-            try:
-                quotient = remaining.exact_div(cpoly)
-            except ExactDivisionError:
-                continue
-            hit = (combo, cpoly, quotient)
-            break
-        if hit is None:
-            size += 1
-            continue
-        combo, cpoly, remaining = hit
-        found.append(cpoly)
-        idx = [i for i in idx if i not in combo]
+    def trial(combo, remaining):
+        cand = _rep_from_list([1])
+        for i in combo:
+            cand = _rep_mul(cand, lifted[i], m)
+        if any(c.denominator != 1 for row in cand for c in row.values()):
+            return None
+        cpoly = _rep_to_poly(cand, ctx, xi, yi)
+        try:
+            return cpoly, remaining.exact_div(cpoly)
+        except ExactDivisionError:
+            return None
+
+    found, remaining = uni._recombine(len(lifted), fshift, trial)
     if remaining.degree_in(xn) >= 1:
         found.append(remaining)
 

@@ -613,7 +613,6 @@ def subring_membership(
     *,
     max_spairs: int = DEFAULT_MAX_SPAIRS,
     max_degree: int = DEFAULT_MAX_DEGREE,
-    interp_degree: Optional[int] = None,
     stats: Optional[RunStats] = None,
 ) -> Optional[Polynomial]:
     """Express w as a polynomial in the two coordinate images, if possible.
@@ -630,10 +629,7 @@ def subring_membership(
     if w.is_constant():
         return Polynomial.constant(U12, w.constant_value())
 
-    cap = interp_degree
-    if cap is None:
-        cap = max(4, min(w.total_degree(), 6))
-    products = _image_powers(f, cap)
+    products = _image_powers(f, max(4, min(w.total_degree(), 6)))
     keys = sorted(products.keys())
     rows = [products[k].terms for k in keys]
     combo = solve_sparse(rows, w.terms)

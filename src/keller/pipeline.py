@@ -31,6 +31,7 @@ from .errors import (
     ZeroKernelError,
 )
 from .factor import (
+    DEFAULT_FACTOR_DEGREE_CAP,
     Factorization,
     PreservationReport,
     UnitsVerdict,
@@ -88,7 +89,6 @@ class Verdict(enum.Enum):
 class PipelineConfig:
     max_spairs: Optional[int] = None
     max_degree: Optional[int] = None
-    factor_degree_cap: int = 10
     force: bool = False
     absolute: bool = False
 
@@ -179,7 +179,6 @@ def cross_check_tfae(
     *,
     max_spairs: Optional[int] = None,
     max_degree: Optional[int] = None,
-    factor_degree_cap: int = 10,
     stats: Optional[RunStats] = None,
 ) -> TfaeReport:
     """Evaluate the three equivalent conditions independently.
@@ -198,7 +197,6 @@ def cross_check_tfae(
     units = localization_units_check(
         f,
         uv.v,
-        degree_cap=factor_degree_cap,
         max_spairs=max_spairs,
         max_degree=max_degree,
         stats=stats,
@@ -274,18 +272,17 @@ def classify(f: Endomorphism, config: Optional[PipelineConfig] = None) -> Classi
     try:
         vfact = factor_bivariate(
             uv.v,
-            degree_cap=max(cfg.factor_degree_cap, uv.v.total_degree()),
+            degree_cap=max(DEFAULT_FACTOR_DEGREE_CAP, uv.v.total_degree()),
             absolute=cfg.absolute,
         )
         report.v_factorization = vfact
         report.v_reports = tuple(
-            stays_irreducible(vj, f, degree_cap=cfg.factor_degree_cap)
+            stays_irreducible(vj, f)
             for vj, _ in vfact.factors
         )
         units = localization_units_check(
             f,
             uv.v,
-            degree_cap=cfg.factor_degree_cap,
             max_spairs=cfg.max_spairs,
             max_degree=cfg.max_degree,
             stats=stats,

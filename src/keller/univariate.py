@@ -1,9 +1,16 @@
-"""Complete factorization of univariate integer polynomials.
+"""Dense univariate arithmetic and complete factorization over Z.
 
-Polynomials are dense lists of ints, ascending degree, no trailing zeros.
-The pipeline is classical: squarefree split (Yun), distinct factors modulo
-a suitable prime (Berlekamp), Hensel lifting past the factor coefficient
-bound, then subset recombination with trial division. Everything is exact.
+Polynomials are dense lists, ascending degree, no trailing zeros. This
+module is the package's one home for that format: one helper per
+operation and coefficient domain (Z and Q share `add`/`sub`/`mul`/`strip`,
+Q has `_divmod_q`/`_xgcd_q`, Z/m has `_mod`/`_mul_mod`/`_divmod_mod`), and
+the one Zassenhaus subset-recombination loop `_recombine`, which the
+bivariate factorizer in `factor.py` shares.
+
+The factorization pipeline is classical: squarefree split (Yun), distinct
+factors modulo a suitable prime (Berlekamp), Hensel lifting past the factor
+coefficient bound, then subset recombination with trial division.
+Everything is exact.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ from .errors import InternalInconsistencyError
 IntPoly = List[int]
 
 
-def strip(f: IntPoly) -> IntPoly:
-    while f and f[-1] == 0:
+def strip(f: list) -> list:
+    """Drop trailing zeros in place; any falsy entry (0, Fraction(0), {}) counts."""
+    while f and not f[-1]:
         f.pop()
     return f
 
@@ -86,35 +94,50 @@ def primitive(f: IntPoly) -> IntPoly:
     return [a // c for a in f]
 
 
+# -- arithmetic over Q -----------------------------------------------------------
+
+
+def _divmod_q(f: list, g: list) -> Tuple[List[Fraction], list]:
+    """Long division in Q[x] of int or Fraction lists; the quotient is Fractions."""
+    r = list(f)
+    dg = deg(g)
+    inv = Fraction(1) / g[-1]
+    q = [Fraction(0)] * max(len(r) - dg, 0)
+    while strip(r) and deg(r) >= dg:
+        k = deg(r) - dg
+        c = r[-1] * inv
+        q[k] = c
+        for i, b in enumerate(g):
+            r[k + i] -= c * b
+    return strip(q), r
+
+
+def _xgcd_q(f: list, g: list) -> Tuple[List[Fraction], List[Fraction]]:
+    """(s, t) with s*f + t*g == 1 in Q[x] for coprime f, g."""
+    r0, r1 = list(f), list(g)
+    s0, s1 = [Fraction(1)], []
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        q, r = _divmod_q(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub(s0, mul(q, s1))
+        t0, t1 = t1, sub(t0, mul(q, t1))
+    if deg(r0) != 0:
+        raise InternalInconsistencyError("expected coprime polynomials over Q")
+    inv = Fraction(1) / r0[0]
+    return [c * inv for c in s0], [c * inv for c in t0]
+
+
 def div_exact(f: IntPoly, g: IntPoly) -> IntPoly:
     """Exact division in Q[x] with an integrality check on the result."""
     if not g:
         raise ZeroDivisionError("division by zero polynomial")
-    rem = [Fraction(c) for c in f]
-    out = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    lg = Fraction(g[-1])
-    while len(strip_frac(rem)) >= len(g):
-        rem = strip_frac(rem)
-        k = len(rem) - len(g)
-        q = rem[-1] / lg
-        out[k] = q
-        for i, c in enumerate(g):
-            rem[k + i] -= q * c
-    rem = strip_frac(rem)
-    if rem:
+    q, r = _divmod_q(f, g)
+    if r:
         raise InternalInconsistencyError("expected exact univariate division")
-    res = []
-    for q in strip_frac(out):
-        if q.denominator != 1:
-            raise InternalInconsistencyError("expected an integer quotient")
-        res.append(q.numerator)
-    return res
-
-
-def strip_frac(f):
-    while f and not f[-1]:
-        f.pop()
-    return f
+    if any(c.denominator != 1 for c in q):
+        raise InternalInconsistencyError("expected an integer quotient")
+    return [c.numerator for c in q]
 
 
 def _prem(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -125,7 +148,7 @@ def _prem(f: IntPoly, g: IntPoly) -> IntPoly:
     while r and deg(r) >= dg:
         dr = deg(r)
         lr = r[-1]
-        r = strip(sub(scale(r, lg), [0] * (dr - dg) + scale(g, lr)))
+        r = sub(scale(r, lg), [0] * (dr - dg) + scale(g, lr))
         c = content(r)
         if c > 1:
             r = [a // c for a in r]
@@ -183,43 +206,47 @@ def squarefree_parts(f: IntPoly) -> List[Tuple[IntPoly, int]]:
     return out
 
 
-# -- arithmetic modulo a prime ----------------------------------------------
+# -- arithmetic modulo m ----------------------------------------------------------
+#
+# m is a prime p, or a power p**k during Hensel lifting; only divisors whose
+# leading coefficient is a unit mod m are ever used (monic ones mod p**k).
 
 
-def _strip_mod(f: List[int]) -> List[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+def _mod(f: IntPoly, m: int) -> List[int]:
+    return strip([c % m for c in f])
 
 
-def _mod(f: IntPoly, p: int) -> List[int]:
-    return _strip_mod([c % p for c in f])
-
-
-def _mul_mod(f, g, p):
+def _mul_mod(f, g, m):
     if not f or not g:
         return []
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _strip_mod(out)
+                out[i + j] = (out[i + j] + a * b) % m
+    return strip(out)
 
 
-def _divmod_mod(f, g, p):
+def _divmod_mod(f, g, m):
     f = list(f)
     dg = deg(g)
-    inv = pow(g[-1], p - 2, p)
+    inv = pow(g[-1], -1, m)
     q = [0] * max(len(f) - dg, 0)
     while f and deg(f) >= dg:
         k = deg(f) - dg
-        c = (f[-1] * inv) % p
+        c = (f[-1] * inv) % m
         q[k] = c
         for i, b in enumerate(g):
-            f[k + i] = (f[k + i] - c * b) % p
-        _strip_mod(f)
-    return _strip_mod(q), f
+            f[k + i] = (f[k + i] - c * b) % m
+        strip(f)
+    return strip(q), f
+
+
+def _monic_mod(f, p):
+    if not f:
+        return f
+    inv = pow(f[-1], -1, p)
+    return [(c * inv) % p for c in f]
 
 
 def _gcd_mod(f, g, p):
@@ -227,17 +254,7 @@ def _gcd_mod(f, g, p):
     while b:
         _, r = _divmod_mod(a, b, p)
         a, b = b, r
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _monic_mod(f, p):
-    if not f:
-        return f
-    inv = pow(f[-1], p - 2, p)
-    return [(c * inv) % p for c in f]
+    return _monic_mod(a, p)
 
 
 def _pow_x_mod(e: int, f, p):
@@ -258,7 +275,6 @@ def _nullspace_mod(matrix: List[List[int]], p: int) -> List[List[int]]:
     """Basis of the nullspace of a square matrix over F_p."""
     n = len(matrix)
     rows = [list(r) for r in matrix]
-    pivot_col_of_row = []
     pivots = {}
     r = 0
     for col in range(n):
@@ -311,7 +327,7 @@ def _berlekamp(f: List[int], p: int) -> List[List[int]]:
     if count == 1:
         return factors
     for v in basis:
-        vpoly = _strip_mod(list(v))
+        vpoly = strip(list(v))
         if deg(vpoly) < 1:
             continue
         next_round = []
@@ -326,7 +342,7 @@ def _berlekamp(f: List[int], p: int) -> List[List[int]]:
                     break
                 shifted = list(vpoly)
                 shifted[0] = (shifted[0] - c) % p
-                g = _gcd_mod(rem, _strip_mod(shifted), p)
+                g = _gcd_mod(rem, strip(shifted), p)
                 if 0 < deg(g) < deg(rem):
                     pieces.append(g)
                     rem = _divmod_mod(rem, g, p)[0]
@@ -354,49 +370,12 @@ def _xgcd_mod(f, g, p):
     while r1:
         q, r = _divmod_mod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _strip_mod([(a - b) % p for a, b in _zip_pad(s0, _mul_mod(q, s1, p))])
-        t0, t1 = t1, _strip_mod([(a - b) % p for a, b in _zip_pad(t0, _mul_mod(q, t1, p))])
+        s0, s1 = s1, _mod(sub(s0, _mul_mod(q, s1, p)), p)
+        t0, t1 = t1, _mod(sub(t0, _mul_mod(q, t1, p)), p)
     if deg(r0) != 0:
         raise InternalInconsistencyError("expected coprime polynomials mod p")
-    inv = pow(r0[0], p - 2, p)
-    s = [(c * inv) % p for c in s0]
-    t = [(c * inv) % p for c in t0]
-    return s, t
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _mod_m(f, m):
-    return _strip_mod([c % m for c in f])
-
-
-def _mul_m(f, g, m):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % m
-    return _strip_mod(out)
-
-
-def _divmod_monic_m(f, g, m):
-    """Division by a monic polynomial with coefficients mod m."""
-    f = list(f)
-    dg = deg(g)
-    q = [0] * max(len(f) - dg, 0)
-    while f and deg(f) >= dg:
-        k = deg(f) - dg
-        c = f[-1] % m
-        q[k] = c
-        for i, b in enumerate(g):
-            f[k + i] = (f[k + i] - c * b) % m
-        _strip_mod(f)
-    return _strip_mod(q), f
+    inv = pow(r0[0], -1, p)
+    return _mod(scale(s0, inv), p), _mod(scale(t0, inv), p)
 
 
 def _hensel_pair(f, g, h, s, t, p, target):
@@ -406,17 +385,17 @@ def _hensel_pair(f, g, h, s, t, p, target):
     for the first p**k >= target.
     """
     m = p
-    g, h, s, t = _mod_m(g, m), _mod_m(h, m), _mod_m(s, m), _mod_m(t, m)
+    g, h, s, t = _mod(g, m), _mod(h, m), _mod(s, m), _mod(t, m)
     while m < target:
         m2 = m * m
-        e = _mod_m(sub(f, mul(g, h)), m2)
-        q, r = _divmod_monic_m(_mul_m(s, e, m2), h, m2)
-        g1 = _mod_m(add(g, add(_mul_m(t, e, m2), _mul_m(q, g, m2))), m2)
-        h1 = _mod_m(add(h, r), m2)
-        b = _mod_m(sub(add(_mul_m(s, g1, m2), _mul_m(t, h1, m2)), [1]), m2)
-        c, d = _divmod_monic_m(_mul_m(s, b, m2), h1, m2)
-        s1 = _mod_m(sub(s, d), m2)
-        t1 = _mod_m(sub(t, add(_mul_m(t, b, m2), _mul_m(c, g1, m2))), m2)
+        e = _mod(sub(f, mul(g, h)), m2)
+        q, r = _divmod_mod(_mul_mod(s, e, m2), h, m2)
+        g1 = _mod(add(g, add(_mul_mod(t, e, m2), _mul_mod(q, g, m2))), m2)
+        h1 = _mod(add(h, r), m2)
+        b = _mod(sub(add(_mul_mod(s, g1, m2), _mul_mod(t, h1, m2)), [1]), m2)
+        c, d = _divmod_mod(_mul_mod(s, b, m2), h1, m2)
+        s1 = _mod(sub(s, d), m2)
+        t1 = _mod(sub(t, add(_mul_mod(t, b, m2), _mul_mod(c, g1, m2))), m2)
         g, h, s, t = g1, h1, s1, t1
         m = m2
     return g, h, m
@@ -455,6 +434,31 @@ def _symmetric(f, m):
     return strip(out)
 
 
+def _recombine(count: int, whole, trial) -> tuple:
+    """Zassenhaus subset recombination over `count` lifted local factors.
+
+    trial(combo, whole) returns (factor, quotient) when the product of the
+    lifted factors indexed by combo yields a true factor of whole, else
+    None. Subsets are tried by increasing size; each hit drops its indices
+    and replaces whole by the quotient. Returns (factors found, remainder).
+    """
+    found = []
+    idx = list(range(count))
+    size = 1
+    while 2 * size <= len(idx):
+        for combo in combinations(idx, size):
+            hit = trial(combo, whole)
+            if hit is not None:
+                break
+        else:
+            size += 1
+            continue
+        factor, whole = hit
+        found.append(factor)
+        idx = [i for i in idx if i not in combo]
+    return found, whole
+
+
 def factor_squarefree_monic(f: IntPoly) -> List[IntPoly]:
     """Irreducible factors of a monic squarefree integer polynomial."""
     n = deg(f)
@@ -482,34 +486,19 @@ def factor_squarefree_monic(f: IntPoly) -> List[IntPoly]:
     m = p
     while m < bound:
         m *= m
-    lifted = [_mod_m(g, m) for g in lifted]
+    lifted = [_mod(g, m) for g in lifted]
 
-    result: List[IntPoly] = []
-    current = list(f)
-    idx = list(range(len(lifted)))
-    size = 1
-    while 2 * size <= len(idx):
-        hit = None
-        for combo in combinations(idx, size):
-            cand = [1]
-            for i in combo:
-                cand = _mul_m(cand, lifted[i], m)
-            cand = _symmetric(cand, m)
-            if not cand or cand[-1] != 1:
-                continue
-            try:
-                q = div_exact(current, cand)
-            except InternalInconsistencyError:
-                continue
-            hit = (combo, cand, q)
-            break
-        if hit is None:
-            size += 1
-            continue
-        combo, cand, q = hit
-        result.append(cand)
-        current = q
-        idx = [i for i in idx if i not in combo]
+    def trial(combo, current):
+        cand = [1]
+        for i in combo:
+            cand = _mul_mod(cand, lifted[i], m)
+        cand = _symmetric(cand, m)
+        if not cand or cand[-1] != 1:
+            return None
+        q, r = _divmod_q(current, cand)
+        return None if r else (cand, [c.numerator for c in q])
+
+    result, current = _recombine(len(lifted), list(f), trial)
     if deg(current) >= 1:
         result.append(current)
     check = [1]

@@ -234,3 +234,18 @@ class TestEnvironment:
         monkeypatch.delenv("KELLER_MAX_SPAIRS", raising=False)
         code, _, _ = run(capsys, ["check", "-p", "x + y^2", "-q", "y + (x + y^2)^2"])
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "", "1.5"])
+    def test_invalid_env_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("KELLER_MAX_SPAIRS", value)
+        code, out, err = run(capsys, ["check", "-p", "x", "-q", "y + x^2"])
+        assert code == 2
+        assert out == ""
+        assert "KELLER_MAX_SPAIRS" in err
+
+    @pytest.mark.parametrize("flag", ["--max-spairs", "--max-degree"])
+    def test_negative_budget_flag_is_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, ["check", "-p", "x", "-q", "y + x^2", flag, "-1"])
+        assert code == 2
+        assert out == ""
+        assert flag in err

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from keller.errors import DegreeCapExceeded
 from keller.factor import (
@@ -74,11 +76,45 @@ class TestSquarefreeDecomposition:
                 assert poly_gcd(parts[i][0], parts[j][0]).is_constant()
 
 
+@st.composite
+def small_bivariate_products(draw):
+    """A constant times up to 3 factors of total degree 1 or 2, degree <= 4."""
+    f = Polynomial.constant(U12, draw(st.sampled_from([1, -2, 3])))
+    budget = 4
+    for _ in range(draw(st.integers(1, 3))):
+        if not budget:
+            break
+        d = draw(st.integers(1, min(2, budget)))
+        monos = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(monos), max_size=len(monos)))
+        g = Polynomial(U12, {e: Fraction(c) for e, c in zip(monos, coeffs) if c})
+        if g.total_degree() >= 1:
+            f = f * g
+            budget -= g.total_degree()
+    return f
+
+
 class TestFactorBivariate:
-    def test_difference_of_squares(self):
-        fact = factor_bivariate(U1**2 - U2**2)
-        assert fact.content == 1
-        assert fact.factors == ((U1 - U2, 1), (U1 + U2, 1))
+    @pytest.mark.parametrize(
+        "f,content,factors",
+        [
+            pytest.param(
+                U1**2 - U2**2, 1, ((U1 - U2, 1), (U1 + U2, 1)), id="difference_of_squares"
+            ),
+            # the univariate image at the evaluation point has four linear
+            # factors, and each true factor is the product of two of them
+            pytest.param(
+                xy("(x^2 - y^4 - y + 1)*(x^2 - y^4 - 3*y)"),
+                1,
+                ((xy("x^2 - y^4 - 3*y"), 1), (xy("x^2 - y^4 - y + 1"), 1)),
+                id="two_quartics_size_two",
+            ),
+        ],
+    )
+    def test_exact_factors(self, f, content, factors):
+        fact = factor_bivariate(f)
+        assert fact.content == content
+        assert fact.factors == factors
 
     def test_degree_one_in_y_is_irreducible(self):
         fact = factor_bivariate(xy("x^2 - y"))
@@ -159,6 +195,13 @@ class TestFactorBivariate:
         if f.total_degree() > 4:
             return
         assert list(factor_bivariate(f).factors) == reference_factor_bivariate(f)
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(small_bivariate_products())
+    def test_matches_reference_property(self, f):
+        assume(not f.is_constant())
+        got = factor_bivariate(f).factors
+        assert dict(got) == dict(reference_factor_bivariate(f))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_remultiplication_exact(self, seed):

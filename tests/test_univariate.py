@@ -6,6 +6,8 @@ Coefficient lists are ascending: [c0, c1, ..., cn] stands for c0 + c1 x + ...
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keller import univariate as uni
 
@@ -112,11 +114,40 @@ class TestSquarefree:
         assert uni.primitive(back) == f
 
 
+@st.composite
+def small_products(draw):
+    """A nonzero constant times 1 to 4 factors of degree 1 or 2, degree <= 4."""
+    f = [draw(st.sampled_from([1, -1, 2, -3]))]
+    budget = 4
+    for _ in range(draw(st.integers(1, 4))):
+        if not budget:
+            break
+        d = draw(st.integers(1, min(2, budget)))
+        lower = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+        f = uni.mul(f, lower + [draw(st.sampled_from([1, -1, 2, 3]))])
+        budget -= d
+    return f
+
+
 class TestFactor:
-    def test_difference_of_squares(self):
-        c, factors = uni.factor([-1, 0, 1])
-        assert c == 1
-        assert factors == [([-1, 1], 1), ([1, 1], 1)]
+    @pytest.mark.parametrize(
+        "f,content,factors",
+        [
+            pytest.param(
+                [-1, 0, 1], 1, [([-1, 1], 1), ([1, 1], 1)], id="difference_of_squares"
+            ),
+            # (x^2+1)(x^2-2)(x^2+3): five factors mod p, four of them
+            # linear, so two true factors come from subsets of size 2
+            pytest.param(
+                [-6, 0, -5, 0, 2, 0, 1],
+                1,
+                [([-2, 0, 1], 1), ([1, 0, 1], 1), ([3, 0, 1], 1)],
+                id="three_quadratics_size_two",
+            ),
+        ],
+    )
+    def test_exact_factors(self, f, content, factors):
+        assert uni.factor(f) == (content, factors)
 
     def test_twelfth_cyclotomic_split(self):
         f = [-1] + [0] * 11 + [1]
@@ -162,6 +193,13 @@ class TestFactor:
                 flat.extend([tuple(g)] * m)
             want = [tuple(g) for g in reference_factor_univariate(f)]
             assert sorted(flat) == sorted(want)
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(small_products())
+    def test_matches_reference_property(self, f):
+        _, got = uni.factor(f)
+        flat = sorted(tuple(g) for g, m in got for _ in range(m))
+        assert flat == sorted(tuple(g) for g in reference_factor_univariate(f))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_products_multiply_back(self, seed):
