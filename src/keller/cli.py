@@ -408,6 +408,13 @@ def _context_from(names_text: str) -> VarContext:
 def _cmd_factor(args) -> int:
     ctx = _context_from(args.vars)
     poly = parse_poly(args.expr, ctx)
+    if poly.is_zero():
+        raise argparse.ArgumentTypeError("cannot factor the zero polynomial")
+    used = poly.variables_used()
+    if len(used) > 2:
+        raise argparse.ArgumentTypeError(
+            f"factor takes at most two variables, the expression uses {', '.join(used)}"
+        )
     fact = factor_bivariate(poly, degree_cap=args.degree_cap, absolute=args.absolute)
     print(f"content = {_frac(fact.content)}")
     for i, (g, mult) in enumerate(fact.factors):
@@ -441,6 +448,8 @@ def _cmd_units(args) -> int:
     caps = _caps(args)
     f = _parse_map(args.p, args.q)
     v = parse_poly(args.v, U12)
+    if v.is_zero():
+        raise argparse.ArgumentTypeError("v must be a nonzero polynomial")
     stats = RunStats()
     verdict = localization_units_check(
         f, v, degree_cap=args.degree_cap, stats=stats, **caps

@@ -24,7 +24,7 @@ from .groebner import (
     DEFAULT_MAX_SPAIRS,
     KernelGenerator,
     RunStats,
-    _tag_basis,
+    _cached_tag_basis,
     kernel_generator,
 )
 from .poly import U12, U123, XY, Endomorphism, Polynomial, VarContext, poly_gcd, poly_lcm
@@ -349,8 +349,7 @@ def shape_basis(
     {g(x), y - h(x)}.
     """
     stats = stats if stats is not None else RunStats()
-    tag, tag_stats = _tag_basis(f, max_spairs, max_degree)
-    stats.merge(tag_stats)
+    tag = _cached_tag_basis(f, max_spairs, max_degree, stats)
     elements = _contract_tag_basis(tag)
     for p in elements:
         if p.leading_exponent() == (0, 0):

@@ -40,7 +40,7 @@ class RunStats:
 
     spairs: int = 0
     max_degree: int = 0
-    millis: float = 0.0
+    millis: int = 0
 
     def note_degree(self, d: int) -> None:
         if d > self.max_degree:
@@ -591,6 +591,16 @@ def _tag_basis(f: Endomorphism, max_spairs: int, max_degree: int):
     return tuple(basis), stats
 
 
+def _cached_tag_basis(f: Endomorphism, max_spairs: int, max_degree: int, stats: RunStats):
+    """``_tag_basis(f)``, charging its Buchberger work to ``stats`` only when
+    this call computed it; a cache hit did no S-pair work."""
+    misses = _tag_basis.cache_info().misses
+    basis, basis_stats = _tag_basis(f, max_spairs, max_degree)
+    if _tag_basis.cache_info().misses != misses:
+        stats.merge(basis_stats)
+    return basis
+
+
 @lru_cache(maxsize=128)
 def _image_powers(f: Endomorphism, through: int):
     """All products p**k * q**l with k + l <= through, keyed by (k, l)."""
@@ -641,8 +651,7 @@ def subring_membership(
         G = Polynomial(U12, terms)
         return G
 
-    basis, basis_stats = _tag_basis(f, max_spairs, max_degree)
-    stats.merge(basis_stats)
+    basis = _cached_tag_basis(f, max_spairs, max_degree, stats)
     wt = w.reindex(_TAG_CTX)
     rem, _ = normal_form(wt, basis, LEX, max_degree=max_degree, stats=stats)
     if any(e[0] or e[1] for e in rem.terms):

@@ -13,6 +13,16 @@ Term order conventions used throughout the package:
   coefficients are coprime integers, then flip the sign so the lex-leading
   coefficient is positive.  Gcds, factors, and denominators are always
   returned in this form.
+
+Products and substitutions run on integers.  ``__mul__`` clears each
+operand to integer numerators over the lcm of its denominators, multiplies
+the two integer term maps and builds one ``Fraction(n, da * db)`` per
+output term.  ``substitute`` clears the polynomial and every image the
+same way and evaluates by Horner's rule in the variable of highest degree:
+the coefficient of each power of that variable is combined from cached
+integer powers of the other images, and every term is scaled so that the
+whole result sits over one integer denominator, applied once at the end.
+The term map stays exponent -> ``Fraction`` throughout.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
@@ -80,6 +91,36 @@ def _coerce(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+
+
+def _cleared(terms: Mapping[Exponent, Fraction]):
+    """(numerators, den): integer numerators over the lcm of the denominators."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if den % d:
+            den = den // math.gcd(den, d) * d
+    if den == 1:
+        return {e: c.numerator for e, c in terms.items()}, 1
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _uncleared(context: VarContext, numerators: dict, den: int) -> "Polynomial":
+    """The polynomial numerators / den; zero numerators are dropped."""
+    return Polynomial._raw(
+        context, {e: Fraction(n, den) for e, n in numerators.items() if n}
+    )
+
+
+def _mul_ints(a: dict, b: dict) -> dict:
+    """Product of two integer term maps; cancelled terms stay as zeros."""
+    out: dict = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return out
 
 
 class Polynomial:
@@ -229,17 +270,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_context(other)
-        out = {}
-        get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = get(e, _ZERO) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return Polynomial._raw(self.context, out)
+        a, da = _cleared(self.terms)
+        b, db = _cleared(other.terms)
+        return _uncleared(self.context, _mul_ints(a, b), da * db)
 
     __rmul__ = __mul__
 
@@ -309,28 +342,48 @@ class Polynomial:
                 raise ContextMismatchError(
                     "substitution images live in different contexts"
                 )
-        one = Polynomial.constant(target, 1)
-        powers: list = [{0: one} for _ in imgs]
+        if not self.terms:
+            return Polynomial.zero(target)
+        # self == num / den and image j == nums[j] / dens[j], all integer.
+        # Scaling every term by prod_j dens[j] ** (degs[j] - e[j]) puts the
+        # whole image over the one denominator den * prod_j dens[j] ** degs[j].
+        num, den = _cleared(self.terms)
+        nums, dens = zip(*(_cleared(im.terms) for im in imgs))
+        degs = [max(e[j] for e in num) for j in range(len(imgs))]
+        h = degs.index(max(degs))
+        unit = {(0,) * target.arity: 1}
+        powers = [[unit] for _ in imgs]
 
-        def power(i: int, e: int) -> "Polynomial":
-            cache = powers[i]
-            if e in cache:
-                return cache[e]
-            top = max(k for k in cache if k <= e)
-            acc = cache[top]
-            for k in range(top + 1, e + 1):
-                acc = acc * imgs[i]
-                cache[k] = acc
-            return acc
+        def power(j: int, e: int) -> dict:
+            cache = powers[j]
+            while len(cache) <= e:
+                cache.append(_mul_ints(cache[-1], nums[j]))
+            return cache[e]
 
-        acc = Polynomial.zero(target)
-        for exps, c in self.terms.items():
-            term = Polynomial.constant(target, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            acc = acc + term
-        return acc
+        # coeffs[k] is the coefficient of the h-th image to the power k
+        coeffs: dict = {}
+        for exps, c in num.items():
+            mono = None
+            for j, e in enumerate(exps):
+                if dens[j] != 1:
+                    c *= dens[j] ** (degs[j] - e)
+                if e and j != h:
+                    mono = power(j, e) if mono is None else _mul_ints(mono, power(j, e))
+            if mono is None:
+                mono = unit
+            acc = coeffs.setdefault(exps[h], {})
+            for m, v in mono.items():
+                acc[m] = acc.get(m, 0) + c * v
+        # Horner in the h-th image
+        result: dict = {}
+        for k in range(degs[h], -1, -1):
+            if result:
+                result = _mul_ints(result, nums[h])
+            for m, v in coeffs.get(k, {}).items():
+                result[m] = result.get(m, 0) + v
+        for d, deg in zip(dens, degs):
+            den *= d**deg
+        return _uncleared(target, result, den)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a rational point."""

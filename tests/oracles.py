@@ -10,6 +10,38 @@ from itertools import combinations
 from keller.poly import Polynomial, VarContext
 
 
+# -- reference products and substitution -------------------------------------
+
+
+def reference_mul(a, b):
+    """Schoolbook product: one Fraction multiply and add per pair of terms."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return Polynomial(a.context, out)
+
+
+def reference_substitute(p, images):
+    """Term by term: each coefficient times its images multiplied out one
+    factor at a time with ``reference_mul``, no powers shared."""
+    names = p.context.names
+    target = images[names[0]].context
+    out = {}
+    for exps, c in p.terms.items():
+        term = Polynomial.constant(target, c)
+        for name, e in zip(names, exps):
+            for _ in range(e):
+                term = reference_mul(term, images[name])
+        for m, v in term.terms.items():
+            out[m] = out.get(m, Fraction(0)) + v
+    return Polynomial(target, out)
+
+
+# -- reference Groebner reduction ---------------------------------------------
+
+
 def reference_normal_form(f, basis, order):
     """Textbook full reduction with Fraction arithmetic throughout."""
     if f.is_zero() or not basis:

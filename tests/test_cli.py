@@ -50,6 +50,20 @@ class TestExitCodes:
     def test_missing_arguments_is_two(self, capsys):
         assert run(capsys, ["check"])[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factor", "-e", "0"],
+            ["factor", "-e", "x*y*z", "--vars", "x,y,z"],
+            ["units", "-p", "x", "-q", "y", "-v", "0"],
+        ],
+        ids=["factor-zero", "factor-three-variables", "units-zero-v"],
+    )
+    def test_input_outside_the_domain_is_two(self, capsys, argv):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_unreadable_batch_file_is_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["check", "--batch", str(tmp_path / "nope.txt")])
         assert code == 2

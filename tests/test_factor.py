@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from keller.errors import DegreeCapExceeded
@@ -196,7 +196,6 @@ class TestFactorBivariate:
             return
         assert list(factor_bivariate(f).factors) == reference_factor_bivariate(f)
 
-    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
     @given(small_bivariate_products())
     def test_matches_reference_property(self, f):
         assume(not f.is_constant())

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from keller.errors import DegreeCapExceeded, MembershipFailedError, ResourceCapExceeded
-from keller.groebner import RunStats
+from keller.groebner import RunStats, clear_caches
 from keller.pipeline import (
     ClassificationReport,
     PipelineConfig,
@@ -75,6 +75,16 @@ class TestClassifyVerdicts:
         report = classify(Endomorphism(X, Y + X**2))
         assert report.stats.millis >= 0
         assert report.stats.spairs >= 0
+
+    def test_spairs_count_work_not_cache_hits(self):
+        # seed 50: the kernel generator takes 3 S-pairs and the tag basis 3;
+        # a warm rerun reuses the cached tag basis and only redoes the kernel
+        f, _ = random_tame(50)
+        clear_caches()
+        cold = classify(f).stats
+        warm = classify(f).stats
+        assert (cold.spairs, warm.spairs) == (6, 3)
+        assert isinstance(cold.millis, int)
 
     def test_cap_refusal_becomes_degenerate_for_keller_map(self):
         report = classify(

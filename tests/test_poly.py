@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from keller.errors import (
     ContextMismatchError,
@@ -25,6 +27,8 @@ from keller.poly import (
     poly_gcd,
     poly_lcm,
 )
+from keller.groebner import _TAG_CTX
+from oracles import reference_mul, reference_substitute
 
 
 def P(ctx, text_terms):
@@ -51,6 +55,26 @@ def random_poly(rng, ctx, max_degree=3, max_terms=5):
             left -= e
         terms[tuple(exps)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return Polynomial(ctx, terms)
+
+
+# coefficients with denominators up to 6, integers among them
+COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+def polys(ctx, max_degree=3, max_terms=5):
+    """Polynomials in ctx with every exponent at most max_degree; the empty
+    term map (zero) and exponent-free terms (constants) are included."""
+    exps = st.tuples(*[st.integers(0, max_degree)] * ctx.arity)
+    return st.dictionaries(exps, COEFFS, max_size=max_terms).map(
+        lambda terms: Polynomial(ctx, terms)
+    )
+
+
+def images(source, target):
+    """One image in the target context per source variable."""
+    return st.fixed_dictionaries(
+        {n: polys(target, max_degree=2, max_terms=4) for n in source.names}
+    )
 
 
 class TestVarContext:
@@ -96,15 +120,15 @@ class TestArithmetic:
         with pytest.raises(ContextMismatchError):
             X + var(U12, "u1")
 
-    def test_ring_axioms_random(self):
-        rng = random.Random(101)
-        for _ in range(40):
-            a = random_poly(rng, XY)
-            b = random_poly(rng, XY)
-            c = random_poly(rng, XY)
-            assert a * (b + c) == a * b + a * c
-            assert a * b == b * a
-            assert (a + b) + c == a + (b + c)
+    @given(polys(XY), polys(XY), polys(XY))
+    def test_ring_axioms_random(self, a, b, c):
+        one = Polynomial.constant(XY, 1)
+        assert a * (b + c) == a * b + a * c
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert (a + b) + c == a + (b + c)
+        assert a * one == a
+        assert (a + (-a)).is_zero() and a - a == Polynomial.zero(XY)
 
     def test_hash_consistency(self):
         a = X**2 + Y
@@ -171,6 +195,58 @@ class TestSubstitute:
             lhs = p.substitute(inner).evaluate(pt)
             rhs = p.evaluate({"x": a.evaluate(pt), "y": b.evaluate(pt)})
             assert lhs == rhs
+
+
+class TestIntegerCore:
+    """Products and substitution against the Fraction-dict references."""
+
+    @given(polys(XY), polys(XY))
+    def test_mul_matches_reference(self, a, b):
+        assert a * b == reference_mul(a, b)
+
+    @given(polys(U123, max_degree=2), polys(U123, max_degree=2))
+    def test_mul_matches_reference_three_variables(self, a, b):
+        assert a * b == reference_mul(a, b)
+
+    @given(polys(XY, max_degree=2, max_terms=4), st.integers(0, 4))
+    def test_pow_matches_reference(self, a, n):
+        want = Polynomial.constant(XY, 1)
+        for _ in range(n):
+            want = reference_mul(want, a)
+        assert a**n == want
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [(XY, XY), (U12, XY), (XY, U123), (XY, _TAG_CTX), (U123, XY)],
+        ids=["xy-xy", "u12-xy", "xy-u123", "xy-tag", "u123-xy"],
+    )
+    @given(data=st.data())
+    def test_substitute_matches_reference(self, source, target, data):
+        p = data.draw(polys(source, max_degree=2))
+        imgs = data.draw(images(source, target))
+        got = p.substitute(imgs)
+        assert got.context == target
+        assert got == reference_substitute(p, imgs)
+
+    @given(polys(U12, max_degree=3), polys(XY, max_degree=2, max_terms=4))
+    def test_substitute_cancels_to_zero(self, r, g):
+        # r(u1) - r(u2) vanishes whenever both variables get the same image
+        r1 = Polynomial(U12, {(e[0], 0): c for e, c in r.terms.items()})
+        r2 = r1.reindex(U12, {"u1": "u2"})
+        out = (r1 - r2).substitute({"u1": g, "u2": g})
+        assert out.is_zero() and out.terms == {}
+
+    @given(polys(XY), COEFFS)
+    def test_zero_and_constant_operands(self, a, c):
+        zero, const = Polynomial.zero(XY), Polynomial.constant(XY, c)
+        assert (a * zero).is_zero() and (zero * a).is_zero()
+        assert a * const == reference_mul(a, const) == a * c
+        u1, u2, zero_u = var(U12, "u1"), var(U12, "u2"), Polynomial.zero(U12)
+        at_origin = Polynomial.constant(U12, a.terms.get((0, 0), 0))
+        assert a.substitute({"x": zero_u, "y": zero_u}) == at_origin
+        assert Polynomial.zero(U12).substitute({"u1": a, "u2": a}) == zero
+        assert Polynomial.constant(U12, c).substitute({"u1": a, "u2": a}) == const
+        assert const.substitute({"x": u1, "y": u2}) == Polynomial.constant(U12, c)
 
 
 class TestJacobian:
@@ -242,14 +318,10 @@ class TestExactDivision:
         with pytest.raises(ExactDivisionError):
             (X**2 + Y).exact_div(X - Y)
 
-    def test_random_products_divide(self):
-        rng = random.Random(31)
-        for _ in range(30):
-            a = random_poly(rng, XY)
-            b = random_poly(rng, XY)
-            if a.is_zero() or b.is_zero():
-                continue
-            assert (a * b).exact_div(b) == a
+    @given(polys(XY), polys(XY))
+    def test_random_products_divide(self, a, b):
+        assume(not b.is_zero())
+        assert (a * b).exact_div(b) == a
 
 
 class TestGcd:

@@ -6,7 +6,7 @@ Coefficient lists are ascending: [c0, c1, ..., cn] stands for c0 + c1 x + ...
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from keller import univariate as uni
@@ -194,7 +194,6 @@ class TestFactor:
             want = [tuple(g) for g in reference_factor_univariate(f)]
             assert sorted(flat) == sorted(want)
 
-    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
     @given(small_products())
     def test_matches_reference_property(self, f):
         _, got = uni.factor(f)
