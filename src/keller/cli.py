@@ -72,15 +72,20 @@ _REFUSALS = (
 )
 
 
-def _budget(text: str) -> int:
-    """A resource budget: a non-negative integer, else a usage error."""
+def _budget(text: str, minimum: int = 0) -> int:
+    """A budget or count: an integer of at least minimum, else a usage error."""
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+        value = minimum - 1
+    if value < minimum:
+        kind = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}")
     return value
+
+
+def _steps(text: str) -> int:
+    return _budget(text, minimum=1)
 
 
 def _env_max_spairs() -> Optional[int]:
@@ -102,10 +107,6 @@ def _parse_map(p_text: str, q_text: str) -> Endomorphism:
     return Endomorphism(parse_poly(p_text, XY), parse_poly(q_text, XY))
 
 
-def _frac(value: Fraction) -> str:
-    return str(value)
-
-
 def _stats_doc(stats: RunStats) -> dict:
     return {
         "spairs": stats.spairs,
@@ -117,7 +118,7 @@ def _stats_doc(stats: RunStats) -> dict:
 def _jacobian_doc(jac) -> dict:
     doc = {"poly": str(jac.det), "is_constant": jac.kind != "nonconstant"}
     if jac.kind != "nonconstant":
-        doc["value"] = _frac(jac.value if jac.value is not None else Fraction(0))
+        doc["value"] = str(jac.value if jac.value is not None else Fraction(0))
     return doc
 
 
@@ -402,7 +403,12 @@ def _context_from(names_text: str) -> VarContext:
     names = tuple(n.strip() for n in names_text.split(",") if n.strip())
     if not names:
         raise ParseError("no variables given", 0)
-    return _CTX_BY_NAMES.get(names, VarContext(names))
+    if names in _CTX_BY_NAMES:
+        return _CTX_BY_NAMES[names]
+    try:
+        return VarContext(names)
+    except ValueError as exc:
+        raise ParseError(str(exc), 0) from None
 
 
 def _cmd_factor(args) -> int:
@@ -416,7 +422,7 @@ def _cmd_factor(args) -> int:
             f"factor takes at most two variables, the expression uses {', '.join(used)}"
         )
     fact = factor_bivariate(poly, degree_cap=args.degree_cap, absolute=args.absolute)
-    print(f"content = {_frac(fact.content)}")
+    print(f"content = {fact.content}")
     for i, (g, mult) in enumerate(fact.factors):
         note = ""
         if fact.absolute is not None:
@@ -432,7 +438,7 @@ def _cmd_factor(args) -> int:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "input": {"expr": str(poly), "vars": list(ctx.names)},
-            "content": _frac(fact.content),
+            "content": str(fact.content),
             "factors": [
                 {"factor": str(g), "multiplicity": m} for g, m in fact.factors
             ],
@@ -548,7 +554,10 @@ def _order_from(text: str, arity: int) -> MonomialOrder:
     if text == "grevlex":
         return GREVLEX
     if text.startswith("block:"):
-        k = int(text.split(":", 1)[1])
+        try:
+            k = int(text.split(":", 1)[1])
+        except ValueError:
+            k = 0
         if not 0 < k < arity:
             raise ParseError(f"block size must be between 1 and {arity - 1}", 0)
         return block_order(k)
@@ -634,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("factor", help="factor a polynomial over Q")
     p.add_argument("-e", "--expr", required=True, help="polynomial to factor")
     p.add_argument("--vars", default="x,y", help="comma-separated variable names")
-    p.add_argument("--degree-cap", type=int, default=10)
+    p.add_argument("--degree-cap", type=_budget, default=10)
     p.add_argument("--absolute", action="store_true",
                    help="certify absolute irreducibility per factor")
     _add_shared(p)
@@ -643,23 +652,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("units", help="unit-group membership check at v")
     _add_map_args(p)
     p.add_argument("-v", required=True, help="polynomial in u1, u2")
-    p.add_argument("--degree-cap", type=int, default=10)
+    p.add_argument("--degree-cap", type=_budget, default=10)
     _add_shared(p)
     p.set_defaults(fn=_cmd_units)
 
     p = subs.add_parser("probe-fc", help="sampling probe for factorial closedness")
     _add_map_args(p)
-    p.add_argument("--samples", type=int, default=12)
-    p.add_argument("--degree-bound", type=int, default=16)
+    p.add_argument("--samples", type=_budget, default=12)
+    p.add_argument("--degree-bound", type=_budget, default=16)
     p.add_argument("--seed", type=int, default=0)
     _add_shared(p)
     p.set_defaults(fn=_cmd_probe_fc)
 
     p = subs.add_parser("gen", help="generate seeded tame automorphisms")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--steps", type=int, default=4, help="maximum steps per recipe")
-    p.add_argument("--degree-cap", type=int, default=12)
+    p.add_argument("--count", type=_budget, default=1)
+    p.add_argument("--steps", type=_steps, default=4, help="maximum steps per recipe")
+    p.add_argument("--degree-cap", type=_budget, default=12)
     _add_shared(p)
     p.set_defaults(fn=_cmd_gen)
 

@@ -6,8 +6,9 @@ polynomial, Hensel-lift that split back to a factorization over Q[[y]] to
 enough precision, then recombine subsets by trial division. Non-monic
 inputs are handled with the usual leading-coefficient substitution trick.
 Dense univariate arithmetic (over Z, Q and Z/m) and the subset
-recombination loop live in `univariate.py`; this module only adds the
-y-adic `Rep` arithmetic of the lift and the trial division by polynomials.
+recombination loop live in `univariate.py`; the lift and the trial
+division run on `Polynomial` values truncated below y**m, so their
+products use the integer core of `poly.py`.
 
 On top of that sit the maps-level checks: does each irreducible factor of
 v keep a single irreducible image under f, are all unit generators of the
@@ -101,137 +102,80 @@ def _squarefree_rec(f: Polynomial) -> List[Tuple[Polynomial, int]]:
     return out
 
 
-# -- dense-in-x representation used by the y-adic lift ------------------------
+# -- the y-adic Hensel lift --------------------------------------------------
 #
-# A polynomial is a list indexed by x-degree whose entries map y-degree to a
-# Fraction. All products are truncated at a fixed y-precision.
+# The lift runs on Polynomial values in the input's context, viewed as
+# polynomials in x whose coefficients are truncated below y**m.
 
 
-Rep = List[Dict[int, Fraction]]
+def _trunc(p: Polynomial, yi: int, m: int) -> Polynomial:
+    """The terms of p of degree below m in the variable of index yi."""
+    return Polynomial._raw(p.context, {e: c for e, c in p.terms.items() if e[yi] < m})
 
 
-def _rep_from_poly(p: Polynomial, xi: int, yi: int, m: int) -> Rep:
-    out: Rep = []
-    for exps, c in p.terms.items():
-        i, j = exps[xi], exps[yi]
-        if j >= m:
+def _divmod_monic(
+    f: Polynomial, g: Polynomial, xi: int, yi: int, m: int
+) -> Tuple[Polynomial, Polynomial]:
+    """Divide f by g monic in variable xi, coefficients taken modulo y**m."""
+    gc = _coeffs_in(g, xi)
+    dg = max(gc)
+    rem = _coeffs_in(f, xi)
+    zero = Polynomial.zero(f.context)
+    q = {}
+    for k in range(max(rem, default=-1) - dg, -1, -1):
+        lead = rem.pop(k + dg, None)
+        if not lead:
             continue
-        while len(out) <= i:
-            out.append({})
-        out[i][j] = out[i].get(j, Fraction(0)) + c
-    for row in out:
-        for k in [k for k, v in row.items() if not v]:
-            del row[k]
-    return uni.strip(out)
+        q[k] = lead
+        for i, gi in gc.items():
+            if i < dg:
+                rem[k + i] = _trunc(rem.get(k + i, zero) - lead * gi, yi, m)
+    return _from_coeffs(f.context, xi, q), _from_coeffs(f.context, xi, rem)
 
 
-def _rep_to_poly(a: Rep, context: VarContext, xi: int, yi: int) -> Polynomial:
-    terms = {}
+def _from_list(context: VarContext, xi: int, f: Sequence) -> Polynomial:
+    """The polynomial sum f[i] * x**i for a dense list of ints or Fractions."""
     base = [0] * context.arity
-    for i, row in enumerate(a):
-        for j, c in row.items():
-            if c:
-                e = list(base)
-                e[xi] = i
-                e[yi] = j
-                terms[tuple(e)] = c
+    terms = {}
+    for i, c in enumerate(f):
+        base[xi] = i
+        terms[tuple(base)] = c
     return Polynomial(context, terms)
 
 
-def _row_mul(a: Dict[int, Fraction], b: Dict[int, Fraction], m: int) -> Dict[int, Fraction]:
-    out: Dict[int, Fraction] = {}
-    for j1, c1 in a.items():
-        for j2, c2 in b.items():
-            j = j1 + j2
-            if j < m:
-                out[j] = out.get(j, Fraction(0)) + c1 * c2
-    return {j: c for j, c in out.items() if c}
-
-
-def _row_addto(target: Dict[int, Fraction], src: Dict[int, Fraction], sign: int) -> None:
-    for j, c in src.items():
-        v = target.get(j, Fraction(0)) + sign * c
-        if v:
-            target[j] = v
-        else:
-            target.pop(j, None)
-
-
-def _rep_mul(a: Rep, b: Rep, m: int) -> Rep:
-    if not a or not b:
-        return []
-    out: Rep = [dict() for _ in range(len(a) + len(b) - 1)]
-    for i1, r1 in enumerate(a):
-        if not r1:
-            continue
-        for i2, r2 in enumerate(b):
-            if r2:
-                _row_addto(out[i1 + i2], _row_mul(r1, r2, m), 1)
-    return uni.strip(out)
-
-
-def _rep_add(a: Rep, b: Rep, sign: int = 1) -> Rep:
-    out: Rep = [dict(r) for r in a]
-    while len(out) < len(b):
-        out.append({})
-    for i, r in enumerate(b):
-        _row_addto(out[i], r, sign)
-    return uni.strip(out)
-
-
-def _rep_trunc(a: Rep, m: int) -> Rep:
-    out = [{j: c for j, c in row.items() if j < m} for row in a]
-    return uni.strip(out)
-
-
-def _rep_divmod_monic(f: Rep, g: Rep, m: int) -> Tuple[Rep, Rep]:
-    """Divide by g monic in x, coefficients taken modulo y**m."""
-    rem = [dict(r) for r in f]
-    dg = len(g) - 1
-    if len(rem) <= dg:
-        return [], uni.strip(rem)
-    q: Rep = [dict() for _ in range(len(rem) - dg)]
-    for k in range(len(rem) - 1 - dg, -1, -1):
-        lead = rem[k + dg] if k + dg < len(rem) else {}
-        if not lead:
-            continue
-        q[k] = dict(lead)
-        for i, gi in enumerate(g):
-            if gi:
-                _row_addto(rem[k + i], _row_mul(lead, gi, m), -1)
-    return uni.strip(q), _rep_trunc(rem, m)
-
-
-def _rep_from_list(f: Sequence) -> Rep:
-    """The Rep of a dense univariate list (ints or Fractions), constant in y."""
-    return uni.strip([({0: Fraction(c)} if c else {}) for c in f])
-
-
-def _lift_pair(F: Rep, g: Rep, h: Rep, s: Rep, t: Rep, m: int):
+def _lift_pair(
+    F: Polynomial,
+    g: Polynomial,
+    h: Polynomial,
+    s: Polynomial,
+    t: Polynomial,
+    xi: int,
+    yi: int,
+    m: int,
+) -> Tuple[Polynomial, Polynomial]:
     """Lift F == g*h (mod y) with s*g + t*h == 1 (mod y) to precision y**m."""
+    one = Polynomial.constant(F.context, 1)
     cur = 1
     while cur < m:
         nxt = min(2 * cur, m)
-        e = _rep_trunc(_rep_add(F, _rep_mul(g, h, nxt), -1), nxt)
-        q, r = _rep_divmod_monic(_rep_mul(s, e, nxt), h, nxt)
-        g = _rep_trunc(_rep_add(_rep_add(g, _rep_mul(t, e, nxt)), _rep_mul(q, g, nxt)), nxt)
-        h = _rep_trunc(_rep_add(h, r), nxt)
-        b = _rep_add(
-            _rep_add(_rep_mul(s, g, nxt), _rep_mul(t, h, nxt)),
-            _rep_from_list([-1]),
-        )
-        b = _rep_trunc(b, nxt)
-        c, d = _rep_divmod_monic(_rep_mul(s, b, nxt), h, nxt)
-        s = _rep_trunc(_rep_add(s, d, -1), nxt)
-        t = _rep_trunc(_rep_add(t, _rep_add(_rep_mul(t, b, nxt), _rep_mul(c, g, nxt)), -1), nxt)
+        e = _trunc(F - g * h, yi, nxt)
+        q, r = _divmod_monic(_trunc(s * e, yi, nxt), h, xi, yi, nxt)
+        g = _trunc(g + t * e + q * g, yi, nxt)
+        h = h + r
+        b = _trunc(s * g + t * h - one, yi, nxt)
+        c, d = _divmod_monic(_trunc(s * b, yi, nxt), h, xi, yi, nxt)
+        s = s - d
+        t = _trunc(t - t * b - c * g, yi, nxt)
         cur = nxt
     return g, h
 
 
-def _lift_tree(F: Rep, parts: List[List[int]], m: int) -> List[Rep]:
+def _lift_tree(
+    F: Polynomial, parts: List[List[int]], xi: int, yi: int, m: int
+) -> List[Polynomial]:
     """Lift a univariate split of F mod y to a factorization mod y**m."""
     if len(parts) == 1:
-        return [_rep_trunc(F, m)]
+        return [_trunc(F, yi, m)]
     k = len(parts) // 2
     g0 = [1]
     for piece in parts[:k]:
@@ -240,8 +184,9 @@ def _lift_tree(F: Rep, parts: List[List[int]], m: int) -> List[Rep]:
     for piece in parts[k:]:
         h0 = uni.mul(h0, piece)
     s, t = uni._xgcd_q(g0, h0)
-    g, h = _lift_pair(F, *map(_rep_from_list, (g0, h0, s, t)), m)
-    return _lift_tree(g, parts[:k], m) + _lift_tree(h, parts[k:], m)
+    seeds = (_from_list(F.context, xi, c) for c in (g0, h0, s, t))
+    g, h = _lift_pair(F, *seeds, xi, yi, m)
+    return _lift_tree(g, parts[:k], xi, yi, m) + _lift_tree(h, parts[k:], xi, yi, m)
 
 
 # -- the bivariate factor engine ----------------------------------------------
@@ -260,13 +205,7 @@ def _factor_univariate_image(f: Polynomial, name: str) -> List[Polynomial]:
     _, parts = uni.factor(ints)
     out = []
     for g, mult in parts:
-        terms = {}
-        for i, c in enumerate(g):
-            if c:
-                e = [0] * ctx.arity
-                e[vi] = i
-                terms[tuple(e)] = Fraction(c)
-        out.extend([Polynomial(ctx, terms).normalized()] * mult)
+        out.extend([_from_list(ctx, vi, g).normalized()] * mult)
     return out
 
 
@@ -352,17 +291,16 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
         fshift = fstar
     m = fshift.degree_in(yn) + 1
 
-    lifted = _lift_tree(_rep_from_poly(fshift, xi, yi, m), seed_parts, m)
+    lifted = _lift_tree(fshift, seed_parts, xi, yi, m)
 
     def trial(combo, remaining):
-        cand = _rep_from_list([1])
+        cand = Polynomial.constant(ctx, 1)
         for i in combo:
-            cand = _rep_mul(cand, lifted[i], m)
-        if any(c.denominator != 1 for row in cand for c in row.values()):
+            cand = _trunc(cand * lifted[i], yi, m)
+        if any(c.denominator != 1 for c in cand.terms.values()):
             return None
-        cpoly = _rep_to_poly(cand, ctx, xi, yi)
         try:
-            return cpoly, remaining.exact_div(cpoly)
+            return cand, remaining.exact_div(cand)
         except ExactDivisionError:
             return None
 
@@ -433,15 +371,6 @@ class Factorization:
     content: Fraction
     factors: Tuple[Tuple[Polynomial, int], ...]
     absolute: Optional[Tuple[Optional[bool], ...]] = None
-
-    def product(self) -> Polynomial:
-        if not self.factors:
-            raise ValueError("no factors to multiply")
-        ctx = self.factors[0][0].context
-        acc = Polynomial.constant(ctx, self.content)
-        for g, mult in self.factors:
-            acc = acc * g**mult
-        return acc
 
     def product_in(self, context: VarContext) -> Polynomial:
         acc = Polynomial.constant(context, self.content)
@@ -642,14 +571,30 @@ def localization_units_check(
     if v.is_constant():
         return UnitsVerdict(True, ())
     vf = factor_bivariate(v, degree_cap=max(degree_cap, v.total_degree()))
-    seen: Dict[Polynomial, UnitWitness] = {}
+    image_factors = []
     for vj, _ in vf.factors:
         image = image_under(f, vj)
         if image.is_constant():
             raise AlgebraicallyDependentError(
                 "a factor of v has constant image under the map"
             )
-        wf = factor_bivariate(image, degree_cap=degree_cap)
+        image_factors.append(factor_bivariate(image, degree_cap=degree_cap))
+    return _units_verdict(
+        f, image_factors, max_spairs=max_spairs, max_degree=max_degree, stats=stats
+    )
+
+
+def _units_verdict(
+    f: Endomorphism,
+    image_factors: Sequence[Factorization],
+    *,
+    max_spairs: Optional[int],
+    max_degree: Optional[int],
+    stats: Optional[RunStats],
+) -> UnitsVerdict:
+    """Tag every irreducible factor of the v-factor images by membership."""
+    seen: Dict[Polynomial, UnitWitness] = {}
+    for wf in image_factors:
         for w, _ in wf.factors:
             if w in seen:
                 continue

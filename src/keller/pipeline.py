@@ -35,6 +35,7 @@ from .factor import (
     Factorization,
     PreservationReport,
     UnitsVerdict,
+    _units_verdict,
     factor_bivariate,
     factorially_closed_probe,
     localization_units_check,
@@ -280,9 +281,10 @@ def classify(f: Endomorphism, config: Optional[PipelineConfig] = None) -> Classi
             stays_irreducible(vj, f)
             for vj, _ in vfact.factors
         )
-        units = localization_units_check(
+        # the images were factored by stays_irreducible: reuse them
+        units = _units_verdict(
             f,
-            uv.v,
+            [r.image_factors for r in report.v_reports],
             max_spairs=cfg.max_spairs,
             max_degree=cfg.max_degree,
             stats=stats,

@@ -26,7 +26,7 @@ IntPoly = List[int]
 
 
 def strip(f: list) -> list:
-    """Drop trailing zeros in place; any falsy entry (0, Fraction(0), {}) counts."""
+    """Drop trailing zeros (ints or Fractions) in place."""
     while f and not f[-1]:
         f.pop()
     return f

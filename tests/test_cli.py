@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, pinned output, JSON reports."""
 
 import json
+import re
 
 import pytest
 
@@ -56,13 +57,41 @@ class TestExitCodes:
             ["factor", "-e", "0"],
             ["factor", "-e", "x*y*z", "--vars", "x,y,z"],
             ["units", "-p", "x", "-q", "y", "-v", "0"],
+            ["gb", "-g", "x", "--order", "block:abc"],
+            ["gb", "-g", "x", "--order", "block:"],
+            ["factor", "-e", "x", "--vars", "x,x"],
+            ["gb", "-g", "x", "--vars", "1a"],
+            ["gen", "--steps", "0"],
+            ["factor", "-e", "x", "--degree-cap", "-1"],
+            ["units", "-p", "x", "-q", "y", "-v", "u1", "--degree-cap", "-1"],
+            ["gen", "--degree-cap", "-1"],
+            ["probe-fc", "-p", "x", "-q", "y", "--samples", "-1"],
+            ["probe-fc", "-p", "x", "-q", "y", "--degree-bound", "-1"],
+            ["gen", "--count", "-1"],
         ],
-        ids=["factor-zero", "factor-three-variables", "units-zero-v"],
+        ids=[
+            "factor-zero",
+            "factor-three-variables",
+            "units-zero-v",
+            "gb-block-not-a-number",
+            "gb-block-empty",
+            "factor-duplicate-variables",
+            "gb-invalid-variable-name",
+            "gen-zero-steps",
+            "factor-negative-degree-cap",
+            "units-negative-degree-cap",
+            "gen-negative-degree-cap",
+            "probe-negative-samples",
+            "probe-negative-degree-bound",
+            "gen-negative-count",
+        ],
     )
     def test_input_outside_the_domain_is_two(self, capsys, argv):
         code, _, err = run(capsys, argv)
         assert code == 2
-        assert err.startswith("error: ")
+        # the last line is the error; argparse prefixes it with the
+        # subcommand and prints the usage line above it
+        assert re.match(r"(keller [\w-]+: )?error: ", err.splitlines()[-1])
 
     def test_unreadable_batch_file_is_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["check", "--batch", str(tmp_path / "nope.txt")])

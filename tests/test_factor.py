@@ -109,12 +109,33 @@ class TestFactorBivariate:
                 ((xy("x^2 - y^4 - 3*y"), 1), (xy("x^2 - y^4 - y + 1"), 1)),
                 id="two_quartics_size_two",
             ),
+            # x-leading coefficient y^4; the monic form is x^4 at y = 0, so
+            # the point is y = 1 with four local factors, and the shifted
+            # monic form has y-degree 20: the lift splits 2 + 2, recurses
+            # into both halves and doubles five times (precision 1, 2, 4,
+            # 8, 16, 21); two local factors on each side mean a wrongly
+            # lifted half cannot be rescued by taking the remainder
+            pytest.param(
+                xy(
+                    "(x*y + 1 + y^2)*(x*y + 1 + y - 2*y^2)"
+                    "*(x*y + 1 + 3*y^2)*(x*y + 1 - 3*y^2)"
+                ),
+                1,
+                (
+                    (xy("x*y + 1 + 3*y^2"), 1),
+                    (xy("x*y + 1 + y - 2*y^2"), 1),
+                    (xy("x*y + 1 + y^2"), 1),
+                    (xy("x*y + 1 - 3*y^2"), 1),
+                ),
+                id="four_local_factors_nonmonic_shifted",
+            ),
         ],
     )
     def test_exact_factors(self, f, content, factors):
         fact = factor_bivariate(f)
         assert fact.content == content
         assert fact.factors == factors
+        assert fact.product_in(f.context) == f
 
     def test_degree_one_in_y_is_irreducible(self):
         fact = factor_bivariate(xy("x^2 - y"))

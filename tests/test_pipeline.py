@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import keller.factor as factor_module
+import keller.pipeline as pipeline_module
 from keller.errors import DegreeCapExceeded, MembershipFailedError, ResourceCapExceeded
 from keller.groebner import RunStats, clear_caches
 from keller.pipeline import (
@@ -85,6 +87,24 @@ class TestClassifyVerdicts:
         warm = classify(f).stats
         assert (cold.spairs, warm.spairs) == (6, 3)
         assert isinstance(cold.millis, int)
+
+    def test_each_v_image_is_factored_once(self, monkeypatch):
+        # v = u1 is factored once for the report and once more by
+        # stays_irreducible, which validates its input; the units check
+        # reuses the image factorizations instead of redoing them
+        calls = []
+        real = factor_module.factor_bivariate
+
+        def counting(g, **kwargs):
+            calls.append(g)
+            return real(g, **kwargs)
+
+        monkeypatch.setattr(factor_module, "factor_bivariate", counting)
+        monkeypatch.setattr(pipeline_module, "factor_bivariate", counting)
+        report = classify(Endomorphism(X, X * Y), PipelineConfig(force=True))
+        assert report.units.all_units_in_Cpq
+        assert calls.count(X) == 1
+        assert calls.count(U1) <= 2
 
     def test_cap_refusal_becomes_degenerate_for_keller_map(self):
         report = classify(
