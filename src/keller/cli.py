@@ -37,6 +37,8 @@ from .factor import (
 )
 from .funcfield import uv_decomposition
 from .groebner import (
+    DEFAULT_MAX_DEGREE,
+    DEFAULT_MAX_SPAIRS,
     GREVLEX,
     LEX,
     Ideal,
@@ -72,6 +74,10 @@ _REFUSALS = (
 )
 
 
+class UsageError(Exception):
+    """A command's input lies outside its domain (exit 2)."""
+
+
 def _budget(text: str, minimum: int = 0) -> int:
     """A budget or count: an integer of at least minimum, else a usage error."""
     try:
@@ -88,19 +94,17 @@ def _steps(text: str) -> int:
     return _budget(text, minimum=1)
 
 
-def _env_max_spairs() -> Optional[int]:
-    raw = os.environ.get("KELLER_MAX_SPAIRS")
-    if raw is None:
-        return None
-    try:
-        return _budget(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise argparse.ArgumentTypeError(f"KELLER_MAX_SPAIRS {exc}") from None
-
-
-def _caps(args) -> dict:
-    max_spairs = args.max_spairs if args.max_spairs is not None else _env_max_spairs()
-    return {"max_spairs": max_spairs, "max_degree": args.max_degree}
+def _run_stats(args) -> RunStats:
+    """The run's budgets: the flags, else ``KELLER_MAX_SPAIRS`` for the
+    S-pair budget, else the defaults."""
+    spair_budget = args.max_spairs
+    if spair_budget is None:
+        raw = os.environ.get("KELLER_MAX_SPAIRS")
+        try:
+            spair_budget = DEFAULT_MAX_SPAIRS if raw is None else _budget(raw)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"KELLER_MAX_SPAIRS {exc}") from None
+    return RunStats(spair_budget=spair_budget, degree_budget=args.max_degree)
 
 
 def _parse_map(p_text: str, q_text: str) -> Endomorphism:
@@ -239,10 +243,12 @@ def _print_report(f: Endomorphism, report: ClassificationReport) -> None:
 
 
 def _cmd_check(args) -> int:
-    caps = _caps(args)
+    if not args.batch and (args.p is None or args.q is None):
+        raise UsageError("check needs -p and -q, or --batch FILE")
+    budgets = _run_stats(args)
     cfg = PipelineConfig(
-        max_spairs=caps["max_spairs"],
-        max_degree=caps["max_degree"],
+        max_spairs=budgets.spair_budget,
+        max_degree=budgets.degree_budget,
         force=args.force,
         absolute=args.absolute,
     )
@@ -291,10 +297,9 @@ def _cmd_check_batch(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    caps = _caps(args)
+    stats = _run_stats(args)
     f = _parse_map(args.p, args.q)
-    stats = RunStats()
-    kernel = kernel_generator(f, stats=stats, **caps)
+    kernel = kernel_generator(f, stats=stats)
     print(f"H = {kernel.generator}")
     print(f"r = {kernel.r}")
     for i, c in enumerate(kernel.coeffs):
@@ -317,10 +322,9 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_uv(args) -> int:
-    caps = _caps(args)
+    stats = _run_stats(args)
     f = _parse_map(args.p, args.q)
-    stats = RunStats()
-    dec = uv_decomposition(f, stats=stats, **caps)
+    dec = uv_decomposition(f, stats=stats)
     print(f"u = {dec.u}")
     print(f"v = {dec.v}")
     print(f"r = {dec.r}")
@@ -340,7 +344,7 @@ def _cmd_uv(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    caps = _caps(args)
+    stats = _run_stats(args)
     f = _parse_map(args.p, args.q)
     if f.jacobian.kind != "constant":
         print(
@@ -349,8 +353,7 @@ def _cmd_invert(args) -> int:
             file=sys.stderr,
         )
         return 1
-    stats = RunStats()
-    s, t = invert(f, stats=stats, **caps)
+    s, t = invert(f, stats=stats)
     ok = verify_inverse(f, s, t)
     print(f"s = {s}")
     print(f"t = {t}")
@@ -370,11 +373,10 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    caps = _caps(args)
+    stats = _run_stats(args)
     f = _parse_map(args.p, args.q)
     w = parse_poly(args.w, XY)
-    stats = RunStats()
-    G = subring_membership(w, f, stats=stats, **caps)
+    G = subring_membership(w, f, stats=stats)
     if G is None:
         print("not a member of the image subalgebra")
     else:
@@ -402,23 +404,23 @@ _CTX_BY_NAMES = {
 def _context_from(names_text: str) -> VarContext:
     names = tuple(n.strip() for n in names_text.split(",") if n.strip())
     if not names:
-        raise ParseError("no variables given", 0)
+        raise UsageError("no variables given")
     if names in _CTX_BY_NAMES:
         return _CTX_BY_NAMES[names]
     try:
         return VarContext(names)
     except ValueError as exc:
-        raise ParseError(str(exc), 0) from None
+        raise UsageError(str(exc)) from None
 
 
 def _cmd_factor(args) -> int:
     ctx = _context_from(args.vars)
     poly = parse_poly(args.expr, ctx)
     if poly.is_zero():
-        raise argparse.ArgumentTypeError("cannot factor the zero polynomial")
+        raise UsageError("cannot factor the zero polynomial")
     used = poly.variables_used()
     if len(used) > 2:
-        raise argparse.ArgumentTypeError(
+        raise UsageError(
             f"factor takes at most two variables, the expression uses {', '.join(used)}"
         )
     fact = factor_bivariate(poly, degree_cap=args.degree_cap, absolute=args.absolute)
@@ -451,15 +453,12 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_units(args) -> int:
-    caps = _caps(args)
+    stats = _run_stats(args)
     f = _parse_map(args.p, args.q)
     v = parse_poly(args.v, U12)
     if v.is_zero():
-        raise argparse.ArgumentTypeError("v must be a nonzero polynomial")
-    stats = RunStats()
-    verdict = localization_units_check(
-        f, v, degree_cap=args.degree_cap, stats=stats, **caps
-    )
+        raise UsageError("v must be a nonzero polynomial")
+    verdict = localization_units_check(f, v, degree_cap=args.degree_cap, stats=stats)
     print(f"all units in subring: {verdict.all_units_in_Cpq}")
     for w in verdict.witnesses:
         if w.inside:
@@ -490,14 +489,14 @@ def _cmd_units(args) -> int:
 
 
 def _cmd_probe_fc(args) -> int:
-    caps = _caps(args)
+    stats = _run_stats(args)
     f = _parse_map(args.p, args.q)
     result = factorially_closed_probe(
         f,
         samples=args.samples,
         degree_bound=args.degree_bound,
         seed=args.seed,
-        **caps,
+        stats=stats,
     )
     if result.violation is None:
         print(f"no_violation_found (checked {result.checked} samples)")
@@ -559,18 +558,17 @@ def _order_from(text: str, arity: int) -> MonomialOrder:
         except ValueError:
             k = 0
         if not 0 < k < arity:
-            raise ParseError(f"block size must be between 1 and {arity - 1}", 0)
+            raise UsageError(f"block size must be between 1 and {arity - 1}")
         return block_order(k)
-    raise ParseError(f"unknown order {text!r}", 0)
+    raise UsageError(f"unknown order {text!r}")
 
 
 def _cmd_gb(args) -> int:
-    caps = _caps(args)
+    stats = _run_stats(args)
     ctx = _context_from(args.vars)
     gens = [parse_poly(g, ctx) for g in args.gens]
     order = _order_from(args.order, ctx.arity)
-    stats = RunStats()
-    basis = buchberger(Ideal(ctx, gens), order, stats=stats, **caps)
+    basis = buchberger(Ideal(ctx, gens), order, stats=stats)
     for g in basis:
         print(g)
     if args.json:
@@ -595,8 +593,8 @@ def _add_map_args(sub) -> None:
 def _add_shared(sub) -> None:
     sub.add_argument("--json", metavar="PATH", help="write a JSON report to PATH")
     sub.add_argument("--max-spairs", type=_budget, default=None,
-                     help="S-pair budget for basis computations")
-    sub.add_argument("--max-degree", type=_budget, default=None,
+                     help="S-pair budget of each basis computation")
+    sub.add_argument("--max-degree", type=_budget, default=DEFAULT_MAX_DEGREE,
                      help="intermediate degree cap for basis computations")
 
 
@@ -689,20 +687,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command == "check" and not args.batch and (args.p is None or args.q is None):
-        print("error: check needs -p and -q, or --batch FILE", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
-    except (ParseError, UnknownVariableError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParseError, UnknownVariableError, UsageError, OSError) as exc:
+        # the format argparse uses for a bad flag value
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except _REFUSALS as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -556,8 +556,6 @@ def localization_units_check(
     v: Polynomial,
     *,
     degree_cap: int = DEFAULT_FACTOR_DEGREE_CAP,
-    max_spairs: Optional[int] = None,
-    max_degree: Optional[int] = None,
     stats: Optional[RunStats] = None,
 ) -> UnitsVerdict:
     """Check that every unit generator of C[x,y][1/v(p,q)] lies in C[p,q].
@@ -579,17 +577,13 @@ def localization_units_check(
                 "a factor of v has constant image under the map"
             )
         image_factors.append(factor_bivariate(image, degree_cap=degree_cap))
-    return _units_verdict(
-        f, image_factors, max_spairs=max_spairs, max_degree=max_degree, stats=stats
-    )
+    return _units_verdict(f, image_factors, stats=stats)
 
 
 def _units_verdict(
     f: Endomorphism,
     image_factors: Sequence[Factorization],
     *,
-    max_spairs: Optional[int],
-    max_degree: Optional[int],
     stats: Optional[RunStats],
 ) -> UnitsVerdict:
     """Tag every irreducible factor of the v-factor images by membership."""
@@ -598,9 +592,7 @@ def _units_verdict(
         for w, _ in wf.factors:
             if w in seen:
                 continue
-            member = subring_membership(
-                w, f, max_spairs=max_spairs, max_degree=max_degree, stats=stats
-            )
+            member = subring_membership(w, f, stats=stats)
             seen[w] = UnitWitness(w, member is not None, member)
     witnesses = tuple(
         seen[w]
@@ -642,8 +634,7 @@ def factorially_closed_probe(
     samples: int = 12,
     degree_bound: int = 16,
     seed: int = 0,
-    max_spairs: Optional[int] = None,
-    max_degree: Optional[int] = None,
+    stats: Optional[RunStats] = None,
 ) -> ProbeResult:
     """Sample products forced into C[p,q] and test both cofactors for membership.
 
@@ -692,13 +683,11 @@ def factorially_closed_probe(
                 a1 = a1 * pieces[i]
             a2 = W.exact_div(a1)
         checked += 1
-        first = subring_membership(a1, f, max_spairs=max_spairs, max_degree=max_degree)
+        first = subring_membership(a1, f, stats=stats)
         if first is None:
             return ProbeResult((a1, a2), checked)
         if not a2.is_constant():
-            second = subring_membership(
-                a2, f, max_spairs=max_spairs, max_degree=max_degree
-            )
+            second = subring_membership(a2, f, stats=stats)
             if second is None:
                 return ProbeResult((a2, a1), checked)
     return ProbeResult(None, checked)

@@ -19,14 +19,7 @@ from .errors import (
     InternalInconsistencyError,
     NotShapePositionError,
 )
-from .groebner import (
-    DEFAULT_MAX_DEGREE,
-    DEFAULT_MAX_SPAIRS,
-    KernelGenerator,
-    RunStats,
-    _cached_tag_basis,
-    kernel_generator,
-)
+from .groebner import KernelGenerator, RunStats, _cached_tag_basis, kernel_generator
 from .poly import U12, U123, XY, Endomorphism, Polynomial, VarContext, poly_gcd, poly_lcm
 
 _ONE = Polynomial.constant(U12, 1)
@@ -334,13 +327,7 @@ def _contract_tag_basis(basis) -> List[FFPolynomial]:
     return reduced
 
 
-def shape_basis(
-    f: Endomorphism,
-    *,
-    max_spairs: int = DEFAULT_MAX_SPAIRS,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-    stats: Optional[RunStats] = None,
-) -> ShapeBasis:
+def shape_basis(f: Endomorphism, *, stats: Optional[RunStats] = None) -> ShapeBasis:
     """The reduced plane-variable basis over the image field, in shape position.
 
     Raises AlgebraicallyDependentError when the images satisfy a relation
@@ -349,7 +336,7 @@ def shape_basis(
     {g(x), y - h(x)}.
     """
     stats = stats if stats is not None else RunStats()
-    tag = _cached_tag_basis(f, max_spairs, max_degree, stats)
+    tag = _cached_tag_basis(f, stats)
     elements = _contract_tag_basis(tag)
     for p in elements:
         if p.leading_exponent() == (0, 0):
@@ -396,8 +383,6 @@ def uv_decomposition(
     f: Endomorphism,
     *,
     kernel: Optional[KernelGenerator] = None,
-    max_spairs: int = DEFAULT_MAX_SPAIRS,
-    max_degree: int = DEFAULT_MAX_DEGREE,
     stats: Optional[RunStats] = None,
 ) -> UVDecomposition:
     """Split y into a numerator over a denominator in the images.
@@ -407,10 +392,8 @@ def uv_decomposition(
     kernel generator, and v(p, q) * y - u(p, q, x) must vanish identically.
     """
     stats = stats if stats is not None else RunStats()
-    sb = shape_basis(f, max_spairs=max_spairs, max_degree=max_degree, stats=stats)
-    k = kernel if kernel is not None else kernel_generator(
-        f, max_spairs=max_spairs, max_degree=max_degree, stats=stats
-    )
+    sb = shape_basis(f, stats=stats)
+    k = kernel if kernel is not None else kernel_generator(f, stats=stats)
 
     v = Polynomial.constant(U12, 1)
     for c in sb.h.terms.values():

@@ -7,8 +7,10 @@ happens in the hot loop. Public results are converted back to canonical
 canonically normalized and sorted by their leading monomial, so two runs
 over shuffled generators produce identical output.
 
-Resource use is capped: a run raises ResourceCapExceeded when it exceeds
-its S-pair budget or when an intermediate term passes the degree cap.
+Resource use is capped by the budgets in ``RunStats``: a basis
+computation raises ResourceCapExceeded when it processes more S-pairs than
+``spair_budget``, counted from its own start, and a reduction raises it when
+it creates a term of total degree above ``degree_budget``.
 """
 
 from __future__ import annotations
@@ -36,11 +38,18 @@ DEFAULT_MAX_DEGREE = 60
 
 @dataclass
 class RunStats:
-    """Mutable counters describing the work a computation performed."""
+    """The budgets a run may spend and counters of the work it performed.
+
+    ``spair_budget`` caps the S-pairs of each basis computation and
+    ``degree_budget`` the total degree of any term a reduction creates; the
+    counters sum over every computation charged to this object.
+    """
 
     spairs: int = 0
     max_degree: int = 0
     millis: int = 0
+    spair_budget: int = DEFAULT_MAX_SPAIRS
+    degree_budget: int = DEFAULT_MAX_DEGREE
 
     def note_degree(self, d: int) -> None:
         if d > self.max_degree:
@@ -81,14 +90,6 @@ class MonomialOrder:
             return _grevlex_key
         k = self.k
         return lambda e: (_grevlex_key(e[:k]), _grevlex_key(e[k:]))
-
-    def leading(self, p: Polynomial):
-        """(exponent, coefficient) of the greatest term under this order."""
-        if p.is_zero():
-            raise ValueError("the zero polynomial has no leading term")
-        key = self.key_func(p.context.arity)
-        e = max(p.terms, key=key)
-        return e, p.terms[e]
 
 
 LEX = MonomialOrder("lex")
@@ -151,19 +152,14 @@ def _content_strip(d: dict) -> int:
     return g
 
 
-def _reduce_int(
-    terms: dict,
-    rows: Sequence[tuple],
-    keyf,
-    max_degree: int,
-    stats: RunStats,
-):
+def _reduce_int(terms: dict, rows: Sequence[tuple], keyf, stats: RunStats):
     """Fully reduce an integer term map against rows.
 
     Returns (reduced_terms, multiplier) with
     multiplier * input == reduced + (ideal member); multiplier is a
     positive Fraction.
     """
+    budget = stats.degree_budget
     work = dict(terms)
     out: dict = {}
     lam_num = 1
@@ -204,9 +200,9 @@ def _reduce_int(
                 if ke not in work:
                     d = sum(ke)
                     stats.note_degree(d)
-                    if d > max_degree:
+                    if d > budget:
                         raise ResourceCapExceeded(
-                            f"intermediate degree {d} exceeds the cap {max_degree}"
+                            f"intermediate degree {d} exceeds the cap {budget}"
                         )
                 work[ke] = nv
             else:
@@ -254,13 +250,7 @@ def _spoly_int(row_i: tuple, row_j: tuple, lcm_e: tuple) -> dict:
     return out
 
 
-def _buchberger_rows(
-    gens: List[dict],
-    keyf,
-    max_spairs: int,
-    max_degree: int,
-    stats: RunStats,
-) -> List[tuple]:
+def _buchberger_rows(gens: List[dict], keyf, stats: RunStats) -> List[tuple]:
     rows: List[tuple] = []
     for terms in gens:
         t = dict(terms)
@@ -280,6 +270,7 @@ def _buchberger_rows(
         for i in range(j):
             push_pair(i, j)
     done = set()
+    spairs = 0
     while heap:
         _, _, i, j, L = heappop(heap)
         if (i, j) in done:
@@ -301,15 +292,16 @@ def _buchberger_rows(
                     break
         if skip:
             continue
+        spairs += 1
         stats.spairs += 1
-        if stats.spairs > max_spairs:
+        if spairs > stats.spair_budget:
             raise ResourceCapExceeded(
-                f"S-pair budget {max_spairs} exhausted"
+                f"S-pair budget {stats.spair_budget} exhausted"
             )
         s = _spoly_int(rows[i], rows[j], L)
         if not s:
             continue
-        r, _ = _reduce_int(s, rows, keyf, max_degree, stats)
+        r, _ = _reduce_int(s, rows, keyf, stats)
         if not r:
             continue
         _content_strip(r)
@@ -336,13 +328,11 @@ def _minimalize_rows(rows: List[tuple], keyf) -> List[tuple]:
     return kept
 
 
-def _interreduce_rows(
-    rows: List[tuple], keyf, max_degree: int, stats: RunStats
-) -> List[tuple]:
+def _interreduce_rows(rows: List[tuple], keyf, stats: RunStats) -> List[tuple]:
     out = list(rows)
     for i in range(len(out)):
         others = out[:i] + out[i + 1 :]
-        r, _ = _reduce_int(dict(out[i][0]), others, keyf, max_degree, stats)
+        r, _ = _reduce_int(dict(out[i][0]), others, keyf, stats)
         _content_strip(r)
         out[i] = _row(r, keyf)
     out.sort(key=lambda row: keyf(row[1]), reverse=True)
@@ -360,8 +350,6 @@ def buchberger(
     ideal: Ideal,
     order: MonomialOrder,
     *,
-    max_spairs: int = DEFAULT_MAX_SPAIRS,
-    max_degree: int = DEFAULT_MAX_DEGREE,
     stats: Optional[RunStats] = None,
 ) -> List[Polynomial]:
     """Reduced Groebner basis of the ideal under the given order.
@@ -372,16 +360,14 @@ def buchberger(
     """
     if not ideal.generators:
         raise ValueError("the zero ideal has no Groebner basis here")
-    max_spairs = DEFAULT_MAX_SPAIRS if max_spairs is None else max_spairs
-    max_degree = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
     stats = stats if stats is not None else RunStats()
     keyf = order.key_func(ideal.context.arity)
     gens = [_int_terms(g) for g in ideal.generators]
     for poly in ideal.generators:
         stats.note_degree(poly.total_degree())
-    rows = _buchberger_rows(gens, keyf, max_spairs, max_degree, stats)
+    rows = _buchberger_rows(gens, keyf, stats)
     rows = _minimalize_rows(rows, keyf)
-    rows = _interreduce_rows(rows, keyf, max_degree, stats)
+    rows = _interreduce_rows(rows, keyf, stats)
     return _rows_to_polys(ideal.context, rows)
 
 
@@ -390,7 +376,6 @@ def normal_form(
     basis: Sequence[Polynomial],
     order: MonomialOrder,
     *,
-    max_degree: int = DEFAULT_MAX_DEGREE,
     stats: Optional[RunStats] = None,
 ):
     """Fully reduce f against a basis; returns (remainder, changed).
@@ -399,7 +384,6 @@ def normal_form(
     empty basis acts as the identity. The remainder is exact: it equals f
     minus a combination of basis elements.
     """
-    max_degree = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
     stats = stats if stats is not None else RunStats()
     basis = [b for b in basis if not b.is_zero()]
     if not basis or f.is_zero():
@@ -411,7 +395,7 @@ def normal_form(
     rows = [_row(_int_terms(b), keyf) for b in basis]
     cont, prim = f.content_and_primitive()
     terms = {e: c.numerator for e, c in prim.terms.items()}
-    reduced, lam = _reduce_int(terms, rows, keyf, max_degree, stats)
+    reduced, lam = _reduce_int(terms, rows, keyf, stats)
     scale = cont / lam
     rem = Polynomial(f.context, {e: scale * c for e, c in reduced.items()})
     return rem, rem != f
@@ -421,8 +405,6 @@ def eliminate(
     ideal: Ideal,
     drop: Iterable[str],
     *,
-    max_spairs: int = DEFAULT_MAX_SPAIRS,
-    max_degree: int = DEFAULT_MAX_DEGREE,
     stats: Optional[RunStats] = None,
 ) -> Ideal:
     """Eliminate the named variables from the ideal.
@@ -437,25 +419,14 @@ def eliminate(
         if n not in names:
             raise UnknownVariableError(f"cannot eliminate unknown variable {n!r}")
     if not drop:
-        return Ideal(
-            ideal.context,
-            buchberger(
-                ideal, GREVLEX, max_spairs=max_spairs, max_degree=max_degree, stats=stats
-            ),
-        )
+        return Ideal(ideal.context, buchberger(ideal, GREVLEX, stats=stats))
     kept = tuple(n for n in names if n not in drop)
     if not kept:
         raise ValueError("cannot eliminate every variable")
     work_ctx = VarContext(drop + kept)
     kept_ctx = VarContext(kept)
     work_ideal = Ideal(work_ctx, [g.reindex(work_ctx) for g in ideal.generators])
-    basis = buchberger(
-        work_ideal,
-        block_order(len(drop)),
-        max_spairs=max_spairs,
-        max_degree=max_degree,
-        stats=stats,
-    )
+    basis = buchberger(work_ideal, block_order(len(drop)), stats=stats)
     k = len(drop)
     out = []
     for b in basis:
@@ -488,8 +459,6 @@ _KERNEL_CTX = VarContext(("y", "u1", "u2", "u3"))
 def kernel_generator(
     f: Endomorphism,
     *,
-    max_spairs: int = DEFAULT_MAX_SPAIRS,
-    max_degree: int = DEFAULT_MAX_DEGREE,
     stats: Optional[RunStats] = None,
 ) -> KernelGenerator:
     """The single relation H(u1, u2, u3) tying the images p, q to x.
@@ -509,13 +478,7 @@ def kernel_generator(
     images = {xname: u3, yname: yv}
     g1 = u1 - f.p.substitute(images)
     g2 = u2 - f.q.substitute(images)
-    basis = buchberger(
-        Ideal(_KERNEL_CTX, [g1, g2]),
-        block_order(1),
-        max_spairs=max_spairs,
-        max_degree=max_degree,
-        stats=stats,
-    )
+    basis = buchberger(Ideal(_KERNEL_CTX, [g1, g2]), block_order(1), stats=stats)
     elim = [b for b in basis if all(e[0] == 0 for e in b.terms)]
     if not elim:
         raise ZeroKernelError(
@@ -546,8 +509,6 @@ def kernel_generator(
 def birationality_degree(
     f: Endomorphism,
     *,
-    max_spairs: int = DEFAULT_MAX_SPAIRS,
-    max_degree: int = DEFAULT_MAX_DEGREE,
     stats: Optional[RunStats] = None,
 ) -> int:
     """Degree of the plane variable over the field generated by the images.
@@ -555,9 +516,7 @@ def birationality_degree(
     Equals 1 exactly when adjoining the first variable to the image field
     already gives the whole rational function field.
     """
-    return kernel_generator(
-        f, max_spairs=max_spairs, max_degree=max_degree, stats=stats
-    ).r
+    return kernel_generator(f, stats=stats).r
 
 
 # -- membership in the image subalgebra -------------------------------------
@@ -566,13 +525,13 @@ _TAG_CTX = VarContext(("y", "x", "u1", "u2"))
 
 
 @lru_cache(maxsize=128)
-def _tag_basis(f: Endomorphism, max_spairs: int, max_degree: int):
+def _tag_basis(f: Endomorphism, spair_budget: int, degree_budget: int):
     """Reduced lex basis of the tag ideal (u1 - p, u2 - q).
 
     Pure lex with y > x > u1 > u2 eliminates the plane variables, so
     elements with u-only leading terms are u-only polynomials.
     """
-    stats = RunStats()
+    stats = RunStats(spair_budget=spair_budget, degree_budget=degree_budget)
     xname, yname = f.context.names
     xv = Polynomial.variable(_TAG_CTX, "x")
     yv = Polynomial.variable(_TAG_CTX, "y")
@@ -581,21 +540,16 @@ def _tag_basis(f: Endomorphism, max_spairs: int, max_degree: int):
     images = {xname: xv, yname: yv}
     g1 = u1 - f.p.substitute(images)
     g2 = u2 - f.q.substitute(images)
-    basis = buchberger(
-        Ideal(_TAG_CTX, [g1, g2]),
-        LEX,
-        max_spairs=max_spairs,
-        max_degree=max_degree,
-        stats=stats,
-    )
+    basis = buchberger(Ideal(_TAG_CTX, [g1, g2]), LEX, stats=stats)
     return tuple(basis), stats
 
 
-def _cached_tag_basis(f: Endomorphism, max_spairs: int, max_degree: int, stats: RunStats):
-    """``_tag_basis(f)``, charging its Buchberger work to ``stats`` only when
-    this call computed it; a cache hit did no S-pair work."""
+def _cached_tag_basis(f: Endomorphism, stats: RunStats):
+    """``_tag_basis(f)`` under the budgets of ``stats``, charging its
+    Buchberger work to ``stats`` only when this call computed it; a cache hit
+    did no S-pair work."""
     misses = _tag_basis.cache_info().misses
-    basis, basis_stats = _tag_basis(f, max_spairs, max_degree)
+    basis, basis_stats = _tag_basis(f, stats.spair_budget, stats.degree_budget)
     if _tag_basis.cache_info().misses != misses:
         stats.merge(basis_stats)
     return basis
@@ -621,8 +575,6 @@ def subring_membership(
     w: Polynomial,
     f: Endomorphism,
     *,
-    max_spairs: int = DEFAULT_MAX_SPAIRS,
-    max_degree: int = DEFAULT_MAX_DEGREE,
     stats: Optional[RunStats] = None,
 ) -> Optional[Polynomial]:
     """Express w as a polynomial in the two coordinate images, if possible.
@@ -651,9 +603,9 @@ def subring_membership(
         G = Polynomial(U12, terms)
         return G
 
-    basis = _cached_tag_basis(f, max_spairs, max_degree, stats)
+    basis = _cached_tag_basis(f, stats)
     wt = w.reindex(_TAG_CTX)
-    rem, _ = normal_form(wt, basis, LEX, max_degree=max_degree, stats=stats)
+    rem, _ = normal_form(wt, basis, LEX, stats=stats)
     if any(e[0] or e[1] for e in rem.terms):
         return None
     return rem.reindex(U12)

@@ -43,6 +43,8 @@ from .factor import (
 )
 from .funcfield import UVDecomposition, uv_decomposition
 from .groebner import (
+    DEFAULT_MAX_DEGREE,
+    DEFAULT_MAX_SPAIRS,
     KernelGenerator,
     RunStats,
     birationality_degree,
@@ -88,8 +90,11 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    max_spairs: Optional[int] = None
-    max_degree: Optional[int] = None
+    """Options of one classification; the two budgets become the run's
+    ``RunStats.spair_budget`` and ``RunStats.degree_budget``."""
+
+    max_spairs: int = DEFAULT_MAX_SPAIRS
+    max_degree: int = DEFAULT_MAX_DEGREE
     force: bool = False
     absolute: bool = False
 
@@ -141,8 +146,6 @@ _CANDIDATE_NOTE = (
 def invert(
     f: Endomorphism,
     *,
-    max_spairs: Optional[int] = None,
-    max_degree: Optional[int] = None,
     stats: Optional[RunStats] = None,
 ) -> Tuple[Polynomial, Polynomial]:
     """Inverse components (s, t) with s(p,q) = x and t(p,q) = y.
@@ -153,10 +156,10 @@ def invert(
     """
     xv = Polynomial.variable(XY, "x")
     yv = Polynomial.variable(XY, "y")
-    s = subring_membership(xv, f, max_spairs=max_spairs, max_degree=max_degree, stats=stats)
+    s = subring_membership(xv, f, stats=stats)
     if s is None:
         raise MembershipFailedError("x is not in the image subalgebra")
-    t = subring_membership(yv, f, max_spairs=max_spairs, max_degree=max_degree, stats=stats)
+    t = subring_membership(yv, f, stats=stats)
     if t is None:
         raise MembershipFailedError("y is not in the image subalgebra")
     return s, t
@@ -178,8 +181,6 @@ def verify_inverse(f: Endomorphism, s: Polynomial, t: Polynomial) -> bool:
 def cross_check_tfae(
     f: Endomorphism,
     *,
-    max_spairs: Optional[int] = None,
-    max_degree: Optional[int] = None,
     stats: Optional[RunStats] = None,
 ) -> TfaeReport:
     """Evaluate the three equivalent conditions independently.
@@ -189,23 +190,15 @@ def cross_check_tfae(
     """
     if f.jacobian.kind != "constant":
         raise ValueError("the three-way check expects a constant nonzero Jacobian")
-    kernel = kernel_generator(f, max_spairs=max_spairs, max_degree=max_degree, stats=stats)
+    kernel = kernel_generator(f, stats=stats)
     bit_ii = kernel.r == 1
 
-    uv = uv_decomposition(
-        f, kernel=kernel, max_spairs=max_spairs, max_degree=max_degree, stats=stats
-    )
-    units = localization_units_check(
-        f,
-        uv.v,
-        max_spairs=max_spairs,
-        max_degree=max_degree,
-        stats=stats,
-    )
+    uv = uv_decomposition(f, kernel=kernel, stats=stats)
+    units = localization_units_check(f, uv.v, stats=stats)
     bit_iii = units.all_units_in_Cpq
 
     try:
-        s, t = invert(f, max_spairs=max_spairs, max_degree=max_degree, stats=stats)
+        s, t = invert(f, stats=stats)
         bit_i = verify_inverse(f, s, t)
     except MembershipFailedError:
         bit_i = False
@@ -215,7 +208,7 @@ def cross_check_tfae(
 def classify(f: Endomorphism, config: Optional[PipelineConfig] = None) -> ClassificationReport:
     """Run the staged decision procedure and assemble the evidence."""
     cfg = config or PipelineConfig()
-    stats = RunStats()
+    stats = RunStats(spair_budget=cfg.max_spairs, degree_budget=cfg.max_degree)
     start = time.perf_counter()
     notes = []
 
@@ -247,9 +240,7 @@ def classify(f: Endomorphism, config: Optional[PipelineConfig] = None) -> Classi
         return report
 
     try:
-        kernel = kernel_generator(
-            f, max_spairs=cfg.max_spairs, max_degree=cfg.max_degree, stats=stats
-        )
+        kernel = kernel_generator(f, stats=stats)
     except (AlgebraicallyDependentError, ZeroKernelError) as exc:
         return degenerate(str(exc))
     except (ResourceCapExceeded, DegreeCapExceeded) as exc:
@@ -257,13 +248,7 @@ def classify(f: Endomorphism, config: Optional[PipelineConfig] = None) -> Classi
     report.kernel = kernel
 
     try:
-        uv = uv_decomposition(
-            f,
-            kernel=kernel,
-            max_spairs=cfg.max_spairs,
-            max_degree=cfg.max_degree,
-            stats=stats,
-        )
+        uv = uv_decomposition(f, kernel=kernel, stats=stats)
     except NotShapePositionError as exc:
         return degenerate(str(exc))
     except (ResourceCapExceeded, DegreeCapExceeded) as exc:
@@ -283,11 +268,7 @@ def classify(f: Endomorphism, config: Optional[PipelineConfig] = None) -> Classi
         )
         # the images were factored by stays_irreducible: reuse them
         units = _units_verdict(
-            f,
-            [r.image_factors for r in report.v_reports],
-            max_spairs=cfg.max_spairs,
-            max_degree=cfg.max_degree,
-            stats=stats,
+            f, [r.image_factors for r in report.v_reports], stats=stats
         )
         report.units = units
     except (ResourceCapExceeded, DegreeCapExceeded) as exc:
@@ -307,9 +288,7 @@ def classify(f: Endomorphism, config: Optional[PipelineConfig] = None) -> Classi
         )
 
     if keller and bit_ii:
-        s, t = invert(
-            f, max_spairs=cfg.max_spairs, max_degree=cfg.max_degree, stats=stats
-        )
+        s, t = invert(f, stats=stats)
         if not verify_inverse(f, s, t):
             raise InternalInconsistencyError("computed inverse failed verification")
         report.inverse = (s, t)
@@ -319,9 +298,7 @@ def classify(f: Endomorphism, config: Optional[PipelineConfig] = None) -> Classi
         report.verdict = Verdict.COUNTEREXAMPLE_CANDIDATE
         notes.append(_CANDIDATE_NOTE)
         try:
-            s, t = invert(
-                f, max_spairs=cfg.max_spairs, max_degree=cfg.max_degree, stats=stats
-            )
+            s, t = invert(f, stats=stats)
             bit_i = verify_inverse(f, s, t)
         except MembershipFailedError:
             bit_i = False

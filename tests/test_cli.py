@@ -68,6 +68,7 @@ class TestExitCodes:
             ["probe-fc", "-p", "x", "-q", "y", "--samples", "-1"],
             ["probe-fc", "-p", "x", "-q", "y", "--degree-bound", "-1"],
             ["gen", "--count", "-1"],
+            ["check", "-p", "x"],
         ],
         ids=[
             "factor-zero",
@@ -84,14 +85,16 @@ class TestExitCodes:
             "probe-negative-samples",
             "probe-negative-degree-bound",
             "gen-negative-count",
+            "check-without-q",
         ],
     )
     def test_input_outside_the_domain_is_two(self, capsys, argv):
         code, _, err = run(capsys, argv)
         assert code == 2
-        # the last line is the error; argparse prefixes it with the
-        # subcommand and prints the usage line above it
-        assert re.match(r"(keller [\w-]+: )?error: ", err.splitlines()[-1])
+        # the last line is the error, in argparse's format; for a bad flag
+        # value argparse prints its usage line above it
+        assert re.match(r"keller [\w-]+: error: ", err.splitlines()[-1])
+        assert "(at position" not in err
 
     def test_unreadable_batch_file_is_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["check", "--batch", str(tmp_path / "nope.txt")])

@@ -75,6 +75,43 @@ class TestSquarefreeDecomposition:
             for j in range(i + 1, len(parts)):
                 assert poly_gcd(parts[i][0], parts[j][0]).is_constant()
 
+    @given(st.data())
+    def test_non_monic_repeated_factors_property(self, data):
+        # every factor has an x-leading coefficient a*y + b with a != 0, so
+        # the input is not monic in x, and one factor is repeated
+        f = Polynomial.constant(XY, data.draw(st.sampled_from([1, -2, 3]), "content"))
+        mults = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), "mults")
+        mults[0] = max(mults[0], 2)
+        for mult in mults:
+            dx = data.draw(st.integers(1, 2), "x-degree")
+            a = data.draw(st.integers(-3, 3).filter(bool), "lc y-coefficient")
+            b = data.draw(st.integers(-3, 3), "lc constant")
+            rest = data.draw(
+                st.dictionaries(
+                    st.tuples(st.integers(0, dx - 1), st.integers(0, 2)),
+                    st.integers(-3, 3).filter(bool),
+                    max_size=3,
+                ),
+                "lower terms",
+            )
+            terms = {e: Fraction(c) for e, c in rest.items()}
+            terms[(dx, 1)] = Fraction(a)
+            if b:
+                terms[(dx, 0)] = Fraction(b)
+            f = f * Polynomial(XY, terms) ** mult
+        parts = squarefree_decomposition(f)
+        back = Polynomial.constant(XY, 1)
+        for part, mult in parts:
+            back = back * part**mult
+            # a square factor divides both partial derivatives; a single
+            # partial is not enough, since x divides d(x + x^2*y)/dy
+            g = poly_gcd(poly_gcd(part, part.diff("x")), part.diff("y"))
+            assert g.is_constant()
+        assert back.normalized() == f.normalized()
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                assert poly_gcd(parts[i][0], parts[j][0]).is_constant()
+
 
 @st.composite
 def small_bivariate_products(draw):

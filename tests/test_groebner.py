@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from keller.errors import (
     AlgebraicallyDependentError,
@@ -21,6 +23,7 @@ from keller.groebner import (
     RunStats,
     _tag_basis,
     birationality_degree,
+    clear_caches,
     block_order,
     buchberger,
     eliminate,
@@ -28,6 +31,7 @@ from keller.groebner import (
     normal_form,
     subring_membership,
 )
+from keller.funcfield import shape_basis
 from keller.poly import U12, U123, XY, Endomorphism, Polynomial, VarContext
 from keller.tame import random_tame
 
@@ -39,7 +43,20 @@ ONE = Polynomial.constant(XY, 1)
 
 
 def leading(p, order):
-    return order.leading(p)[0]
+    return max(p.terms, key=order.key_func(p.context.arity))
+
+
+@st.composite
+def generator_lists(draw):
+    """Two or three nonzero polynomials in x, y with exponents at most 2 and
+    small integer coefficients, and the same list shuffled."""
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    coeffs = st.integers(-3, 3).filter(bool)
+    poly = st.dictionaries(exps, coeffs, min_size=1, max_size=4).map(
+        lambda t: Polynomial(XY, {e: Fraction(c) for e, c in t.items()})
+    )
+    gens = draw(st.lists(poly, min_size=2, max_size=3))
+    return gens, draw(st.permutations(gens))
 
 
 class TestMonomialOrders:
@@ -101,11 +118,13 @@ class TestBuchberger:
     def test_spair_cap(self):
         gens = [X**3 - 2 * X * Y, X**2 * Y - 2 * Y**2 + X]
         with pytest.raises(ResourceCapExceeded):
-            buchberger(Ideal(XY, gens), GREVLEX, max_spairs=1)
+            buchberger(Ideal(XY, gens), GREVLEX, stats=RunStats(spair_budget=1))
 
     def test_degree_cap(self):
         with pytest.raises(ResourceCapExceeded):
-            buchberger(Ideal(XY, [X**5 - Y, Y**5 - X]), LEX, max_degree=6)
+            buchberger(
+                Ideal(XY, [X**5 - Y, Y**5 - X]), LEX, stats=RunStats(degree_budget=6)
+            )
 
     def test_stats_recorded(self):
         stats = RunStats()
@@ -135,6 +154,61 @@ class TestBuchberger:
                 continue
             gb = buchberger(Ideal(XY, gens), GREVLEX)
             assert is_groebner_basis(gb, GREVLEX, gens)
+
+    @given(generator_lists(), st.sampled_from([LEX, GREVLEX]))
+    def test_basis_property(self, pair, order):
+        gens, shuffled = pair
+        gb = buchberger(Ideal(XY, gens), order)
+        assert is_groebner_basis(gb, order, gens)
+        assert buchberger(Ideal(XY, shuffled), order) == gb
+
+
+class TestBudgets:
+    """Each basis computation may process spair_budget S-pairs counted from
+    its own start; the spairs counter sums over every computation."""
+
+    def test_kernel_budget_is_per_computation(self):
+        f = random_tame(50)[0]
+        need = RunStats()
+        kernel_generator(f, stats=need)
+        assert need.spairs == 3
+        stats = RunStats(spair_budget=need.spairs)
+        first = kernel_generator(f, stats=stats)
+        assert kernel_generator(f, stats=stats) == first
+        assert stats.spairs == 2 * need.spairs
+        with pytest.raises(ResourceCapExceeded):
+            kernel_generator(f, stats=RunStats(spair_budget=need.spairs - 1))
+
+    def test_buchberger_budget_is_per_computation(self):
+        ideal = Ideal(XY, [X**3 - 2 * X * Y, X**2 * Y - 2 * Y**2 + X])
+        need = RunStats()
+        basis = buchberger(ideal, GREVLEX, stats=need)
+        stats = RunStats(spair_budget=need.spairs)
+        assert buchberger(ideal, GREVLEX, stats=stats) == basis
+        assert buchberger(ideal, GREVLEX, stats=stats) == basis
+        assert stats.spairs == 2 * need.spairs
+        with pytest.raises(ResourceCapExceeded):
+            buchberger(ideal, GREVLEX, stats=RunStats(spair_budget=need.spairs - 1))
+
+    def test_tag_basis_obeys_the_budget(self):
+        # the tag basis used to run under a fresh counter; it now obeys the
+        # caller's budget, counted from its own start, like every basis
+        f = random_tame(50)[0]
+        clear_caches()
+        need = RunStats()
+        shape_basis(f, stats=need)
+        clear_caches()
+        stats = RunStats(spairs=10**6, spair_budget=need.spairs)
+        shape_basis(f, stats=stats)
+        assert stats.spairs == 10**6 + need.spairs
+        clear_caches()
+        with pytest.raises(ResourceCapExceeded):
+            shape_basis(f, stats=RunStats(spair_budget=need.spairs - 1))
+
+    def test_merge_keeps_the_budgets(self):
+        stats = RunStats(spair_budget=7, degree_budget=9)
+        stats.merge(RunStats(spairs=2, max_degree=5, millis=3))
+        assert stats == RunStats(2, 5, 3, spair_budget=7, degree_budget=9)
 
 
 class TestNormalForm:

@@ -111,6 +111,7 @@ class TestClassifyVerdicts:
             Endomorphism(X + Y**3, Y + (X + Y**3) ** 2),
             PipelineConfig(max_degree=2),
         )
+        assert report.stats.degree_budget == 2
         assert report.verdict is Verdict.DEGENERATE
         assert report.degenerate_reason is not None
         assert "cap" in report.degenerate_reason
