@@ -1,5 +1,9 @@
 """Bivariate factorization over Q and the irreducibility-preservation tests.
 
+Squarefree parts come from Yun's loop, which is skipped when one integer
+image of a primitive input is squarefree of full degree, since that proves
+the input squarefree.
+
 The factor engine works on primitive squarefree parts: evaluate at a good
 point on the second variable, factor the resulting univariate integer
 polynomial, Hensel-lift that split back to a factorization over Q[[y]] to
@@ -18,6 +22,7 @@ for factorial closedness of the image subalgebra.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -38,7 +43,9 @@ from .poly import (
     Endomorphism,
     Polynomial,
     VarContext,
+    _cleared,
     _coeffs_in,
+    _eval_others,
     _from_coeffs,
     _split_var_content,
     poly_gcd,
@@ -77,12 +84,18 @@ def _squarefree_rec(f: Polynomial) -> List[Tuple[Polynomial, int]]:
             break
     cont, prim = _split_var_content(f, main)
     out = [] if cont.is_constant() else _squarefree_rec(cont)
-    name = f.context.names[main]
+    if _certified_squarefree(prim, main):
+        return out + [(prim.normalized(), 1)]
+    return out + _yun(prim, f.context.names[main])
+
+
+def _yun(prim: Polynomial, name: str) -> List[Tuple[Polynomial, int]]:
+    """Yun's squarefree decomposition of prim, primitive in variable name."""
+    out = []
     d = prim.diff(name)
     g = poly_gcd(prim, d)
     if g.is_constant():
-        out.append((prim.normalized(), 1))
-        return out
+        return [(prim.normalized(), 1)]
     w = prim.exact_div(g)
     y = d.exact_div(g)
     i = 1
@@ -100,6 +113,29 @@ def _squarefree_rec(f: Polynomial) -> List[Tuple[Polynomial, int]]:
             y = z
         i += 1
     return out
+
+
+def _certified_squarefree(prim: Polynomial, xi: int) -> bool:
+    """True when an integer image proves prim squarefree.
+
+    prim is primitive in x, the variable of index xi; the image sets every
+    other variable to one integer c. A square factor g**2 of prim has
+    deg_x g > 0, and lc_x(g)(c) != 0 wherever deg_x prim survives the
+    evaluation, so g(x, c)**2 would divide the image: a squarefree image of
+    full degree rules out every square factor. False means only that no
+    point tried gave such an image.
+    """
+    num, _ = _cleared(prim.terms)
+    n = max(e[xi] for e in num)
+    for c in itertools.islice(_eval_points(), _CERTIFICATE_POINTS):
+        image = _eval_others(num, xi, c)
+        if len(image) == n + 1 and uni.deg(uni.gcd_z(image, uni.derivative(image))) == 0:
+            return True
+    return False
+
+
+# points tried by _certified_squarefree before Yun's loop runs
+_CERTIFICATE_POINTS = 5
 
 
 # -- the y-adic Hensel lift --------------------------------------------------
@@ -209,17 +245,6 @@ def _factor_univariate_image(f: Polynomial, name: str) -> List[Polynomial]:
     return out
 
 
-def _eval_y(rep_poly: Polynomial, xi: int, yi: int, c: int) -> List[int]:
-    """Integer coefficient list of p(x, c) for an integer polynomial p."""
-    coeffs: Dict[int, int] = {}
-    for exps, v in rep_poly.terms.items():
-        coeffs[exps[xi]] = coeffs.get(exps[xi], 0) + int(v) * c ** exps[yi]
-    out = [0] * (max(coeffs) + 1)
-    for i, v in coeffs.items():
-        out[i] = v
-    return uni.strip(out)
-
-
 def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
     """Irreducible factors of a primitive squarefree bivariate polynomial.
 
@@ -269,7 +294,7 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
     u = None
     point = None
     for c in _eval_points():
-        cand = _eval_y(fstar, xi, yi, c)
+        cand = _eval_others(fstar.terms, xi, c)
         if len(cand) != n + 1:
             raise InternalInconsistencyError("monic image lost degree")
         if uni.deg(uni.gcd_z(cand, uni.derivative(cand))) == 0:

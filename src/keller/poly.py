@@ -23,6 +23,9 @@ the coefficient of each power of that variable is combined from cached
 integer powers of the other images, and every term is scaled so that the
 whole result sits over one integer denominator, applied once at the end.
 The term map stays exponent -> ``Fraction`` throughout.
+
+``poly_gcd`` tries the heuristic gcd, checked by exact division, on
+two-variable inputs before the primitive pseudo-remainder sequence.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
+from . import univariate as uni
 from .errors import (
     ContextMismatchError,
     ExactDivisionError,
@@ -699,7 +703,15 @@ def _gcd_prim(a: Polynomial, b: Polynomial) -> Polynomial:
     ca, pa = _split_var_content(a, i)
     cb, pb = _split_var_content(b, i)
     gamma = _gcd_int(ca, cb)
-    f, g = pa, pb
+    others = {k for p in (pa, pb) for e in p.terms for k, n in enumerate(e) if n and k != i}
+    g = _gcd_heu(pa, pb, i, others.pop()) if len(others) == 1 else None
+    if g is None:
+        g = _gcd_prs(pa, pb, i)
+    return (gamma * g).normalized()
+
+
+def _gcd_prs(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
+    """gcd of two polynomials primitive in variable i, by the primitive PRS."""
     if f.degree_in(f.context.names[i]) < g.degree_in(g.context.names[i]):
         f, g = g, f
     while not g.is_zero():
@@ -709,8 +721,69 @@ def _gcd_prim(a: Polynomial, b: Polynomial) -> Polynomial:
             break
         _, r = _split_var_content(r.normalized(), i)
         f, g = g, r
-    result = (gamma * f.normalized()).normalized()
-    return result
+    return f.normalized()
+
+
+def _gcd_heu(a: Polynomial, b: Polynomial, i: int, j: int) -> Optional[Polynomial]:
+    """gcd of two polynomials primitive in variable i, with j the only other.
+
+    The heuristic gcd of Char, Geddes and Gonnet (1989), tried at a few
+    points; None when no point gives a candidate that divides both inputs.
+    """
+    ctx = a.context
+    na, _ = _cleared(a.terms)
+    nb, _ = _cleared(b.terms)
+    da = max(e[i] for e in na)
+    db = max(e[i] for e in nb)
+    xi = 2 * min(max(map(abs, na.values())), max(map(abs, nb.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        ea = _eval_others(na, i, xi)
+        eb = _eval_others(nb, i, xi)
+        if len(ea) == da + 1 and len(eb) == db + 1:
+            h = uni.gcd_z(ea, eb)
+            if len(h) == 1:
+                return Polynomial.constant(ctx, 1)
+            k = math.gcd(uni.content(ea), uni.content(eb))
+            # the leading digits are not all zero, so deg_i cand = deg h
+            cand = _split_var_content(_xi_adic(ctx, h, k, xi, i, j), i)[1]
+            if cand.divides(a) and cand.divides(b):
+                return cand.normalized()
+        xi = xi * 73794 // 27011
+    return None
+
+
+# evaluation points tried by _gcd_heu before it gives way to the PRS
+_HEU_TRIES = 4
+
+
+def _eval_others(num: Mapping[Exponent, int], i: int, c: int) -> list:
+    """Dense coefficient list in variable i of an integer term map, with
+    every other variable set to the integer c."""
+    out = [0] * (max(e[i] for e in num) + 1)
+    for e, v in num.items():
+        out[e[i]] += int(v) * c ** (sum(e) - e[i])
+    return uni.strip(out)
+
+
+def _xi_adic(context: VarContext, h: list, k: int, xi: int, i: int, j: int) -> Polynomial:
+    """The polynomial in x_i, x_j whose image at x_j = xi is k * h, read off
+    the symmetric xi-adic digits of each coefficient of k * h."""
+    terms = {}
+    half = xi // 2
+    base = [0] * context.arity
+    for d, c in enumerate(h):
+        c *= k
+        base[i] = d
+        base[j] = 0
+        while c:
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                terms[tuple(base)] = Fraction(r)
+            c = (c - r) // xi
+            base[j] += 1
+    return Polynomial._raw(context, terms)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -719,6 +792,22 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     The primitive part of the result is canonically normalized; the gcd of
     the two rational contents is kept as a scalar factor, so for instance
     integer inputs keep their shared integer content.
+
+    The gcd is taken in the main variable x (the last context variable
+    used), after the content in x, a gcd in the other variables, is split
+    off. When exactly one other variable y remains, the heuristic gcd comes
+    first (Char, Geddes and Gonnet, 1989): set y = xi, an integer above
+    twice the smaller coefficient height of the two inputs, and require
+    that deg_x of neither input drops. Take the gcd h of the two images in
+    Z[x], scaled by the gcd of their integer contents, and read a candidate
+    G off the symmetric xi-adic digits of its coefficients; keep the
+    primitive part of G in x, so deg_x G = deg h. G is used only if it
+    divides both inputs exactly, and then it is the gcd D: G divides D, and
+    D(x, xi) divides both images with deg_x D(x, xi) = deg_x D, so
+    deg_x D <= deg h = deg_x G; D / G is therefore free of x, and it is a
+    constant because D is primitive in x. A point whose candidate fails is
+    followed by a few larger ones, and then by the primitive PRS, which
+    also handles every other case and is exact without a check.
     """
     if a.context != b.context:
         raise ContextMismatchError("gcd needs a shared context")

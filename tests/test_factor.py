@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from keller.errors import DegreeCapExceeded
 from keller.factor import (
+    _certified_squarefree,
+    _yun,
     absolute_irreducibility,
     factor_bivariate,
     factorially_closed_probe,
@@ -18,7 +20,15 @@ from keller.factor import (
     stays_irreducible,
 )
 from keller.parsing import parse_poly
-from keller.poly import U12, XY, Endomorphism, Polynomial, VarContext, poly_gcd
+from keller.poly import (
+    U12,
+    XY,
+    Endomorphism,
+    Polynomial,
+    VarContext,
+    _split_var_content,
+    poly_gcd,
+)
 from keller.tame import random_tame
 
 from oracles import reference_factor_bivariate
@@ -55,10 +65,18 @@ class TestSquarefreeDecomposition:
         got = squarefree_decomposition(uu("12*u1^2"))
         assert got == [(U1, 2)]
 
-    @pytest.mark.parametrize("seed", range(6))
+    # seeds 6 and 10 give the part x + x^2*y
+    @pytest.mark.parametrize("seed", range(12))
     def test_parts_squarefree_and_coprime(self, seed):
         rng = random.Random(seed)
-        pool = [xy("x + y"), xy("x - 1"), xy("y"), xy("x*y + 1"), xy("x + y^2")]
+        pool = [
+            xy("x + y"),
+            xy("x - 1"),
+            xy("y"),
+            xy("x*y"),
+            xy("x*y + 1"),
+            xy("x + y^2"),
+        ]
         f = Polynomial.constant(XY, 1)
         for g in rng.sample(pool, rng.randint(1, 3)):
             f = f * g ** rng.randint(1, 3)
@@ -66,10 +84,10 @@ class TestSquarefreeDecomposition:
         back = Polynomial.constant(XY, 1)
         for part, mult in parts:
             back = back * part**mult
-            for name in ("x", "y"):
-                d = part.diff(name)
-                if not d.is_zero():
-                    assert poly_gcd(part, d).is_constant()
+            # a square factor divides both partial derivatives; a single
+            # partial is not enough, since x divides d(x + x^2*y)/dy
+            g = poly_gcd(poly_gcd(part, part.diff("x")), part.diff("y"))
+            assert g.is_constant()
         assert back.normalized() == f.normalized()
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
@@ -111,6 +129,34 @@ class TestSquarefreeDecomposition:
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
                 assert poly_gcd(parts[i][0], parts[j][0]).is_constant()
+
+
+def bivariate(max_degree=2, max_terms=4):
+    """Nonzero integer polynomials in x, y with exponents up to max_degree."""
+    exps = st.tuples(st.integers(0, max_degree), st.integers(0, max_degree))
+    return st.dictionaries(
+        exps, st.integers(-4, 4).filter(bool), min_size=1, max_size=max_terms
+    ).map(lambda terms: Polynomial(XY, terms))
+
+
+class TestSquarefreeCertificate:
+    """The certificate only ever short-cuts Yun's loop, never changes it."""
+
+    @given(bivariate(), bivariate())
+    def test_planted_square_never_certifies(self, g, h):
+        assume(g.degree_in("x") > 0)
+        _, prim = _split_var_content(g**2 * h, 0)
+        assert not _certified_squarefree(prim, 0)
+
+    @given(st.lists(bivariate(), min_size=1, max_size=3))
+    def test_certified_input_is_one_yun_part(self, factors):
+        f = Polynomial.constant(XY, 1)
+        for g in factors:
+            f = f * g
+        assume(f.degree_in("x") > 0)
+        _, prim = _split_var_content(f, 0)
+        assume(_certified_squarefree(prim, 0))
+        assert _yun(prim, "x") == [(prim.normalized(), 1)]
 
 
 @st.composite

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from keller.errors import ParseError, UnknownVariableError
 from keller.parsing import parse_expression, parse_poly
@@ -137,6 +139,17 @@ class TestRoundTrip:
         for _ in range(40):
             p = random_poly(rng, ctx)
             assert parse_poly(str(p), ctx) == p
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)),
+            st.fractions(min_value=-20, max_value=20, max_denominator=12),
+            max_size=6,
+        )
+    )
+    def test_parse_of_str_property(self, terms):
+        p = Polynomial(XY, terms)
+        assert parse_poly(str(p), XY) == p
 
     def test_zero_round_trips(self):
         z = Polynomial.zero(XY)

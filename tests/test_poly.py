@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given
@@ -27,7 +28,9 @@ from keller.poly import (
     poly_gcd,
     poly_lcm,
 )
+from keller import poly
 from keller.groebner import _TAG_CTX
+from keller.parsing import parse_poly
 from oracles import reference_mul, reference_substitute
 
 
@@ -371,6 +374,83 @@ class TestGcd:
 
     def test_lcm(self):
         assert poly_lcm(X**2 - Y**2, X - Y) == X**2 - Y**2
+
+
+def prs_gcd(a, b):
+    """poly_gcd with the heuristic switched off: the primitive PRS route."""
+    with mock.patch.object(poly, "_gcd_heu", lambda *args: None):
+        return poly_gcd(a, b)
+
+
+YX = VarContext(("y", "x"))
+
+
+def in_yx(terms):
+    """A polynomial in the context (y, x), whose main variable is x."""
+    return Polynomial(YX, {(ey, ex): c for (ex, ey), c in terms.items()})
+
+
+@st.composite
+def planted_gcd_pairs(draw):
+    """(a, b, g) with a = g*a1*ca(y) and b = g*b1*cb(y); g and the cofactors
+    have an x-leading coefficient that is a nonconstant polynomial in y."""
+
+    def non_monic(label):
+        dx = draw(st.integers(1, 2), label)
+        lower = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, dx - 1), st.integers(0, 2)),
+                st.integers(-5, 5).filter(bool),
+                max_size=3,
+            ),
+            label,
+        )
+        lead = {(dx, 1): draw(st.integers(-3, 3).filter(bool), label)}
+        lead[(dx, 0)] = draw(st.integers(-3, 3), label)
+        return in_yx({**lower, **lead})
+
+    def y_only(label):
+        return in_yx(
+            {(0, k): c for k, c in enumerate(draw(st.lists(st.integers(-3, 3), max_size=3), label))}
+        ) or in_yx({(0, 0): 1})
+
+    g = non_monic("g")
+    shared = y_only("shared content")
+    a = g * non_monic("a1") * shared * y_only("content of a")
+    b = g * non_monic("b1") * shared * y_only("content of b")
+    return a, b, g * shared
+
+
+class TestHeuristicGcd:
+    @given(planted_gcd_pairs())
+    def test_matches_prs_route(self, pair):
+        a, b, planted = pair
+        g = poly_gcd(a, b)
+        assert g == prs_gcd(a, b)
+        assert planted.normalized().divides(g)
+
+    @pytest.mark.parametrize(
+        "a, b, gcd, heuristic_answers",
+        [
+            # at the first point xi = 31 the cofactors y - x and y - 2x + 31
+            # share the root y = 31, so the first candidate, y^2 - x^2, has
+            # the right degree but does not divide both inputs; the next
+            # point works
+            ("(y + x)*(y - x)", "(y + x)*(y - 2*x + 31)", "y + x", True),
+            # at every integer x the gcd's image (x^2 + x)*y + 2 has content
+            # 2, which only the factor gcd(image contents) puts back
+            ("(x^2*y + x*y + 2)*(y + 1)", "(x^2*y + x*y + 2)*(y - x)", "x*y + x^2*y + 2", True),
+            # the y-leading coefficient of one input vanishes at all four
+            # points tried (31, 84, 229, 625), so the PRS answers
+            ("(y + x)*((x - 31)*(x - 84)*(x - 229)*(x - 625)*y + 1)", "(y + x)*(y - x)", "y + x", False),
+        ],
+        ids=["rejected_candidate", "image_content", "prs_fallback"],
+    )
+    def test_named_inputs(self, a, b, gcd, heuristic_answers):
+        a, b, gcd = (parse_poly(t, XY) for t in (a, b, gcd))
+        for p, q in ((a, b), (b, a)):
+            assert (poly._gcd_heu(p, q, 1, 0) is not None) == heuristic_answers
+            assert poly_gcd(p, q) == prs_gcd(p, q) == gcd
 
 
 class TestPrinting:
