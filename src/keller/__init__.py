@@ -30,13 +30,7 @@ from .factor import (
     squarefree_decomposition,
     stays_irreducible,
 )
-from .funcfield import (
-    FFPolynomial,
-    RationalFunction,
-    UVDecomposition,
-    shape_basis,
-    uv_decomposition,
-)
+from .funcfield import UVDecomposition, shape_basis, uv_decomposition
 from .groebner import (
     GREVLEX,
     LEX,

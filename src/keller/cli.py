@@ -61,7 +61,7 @@ from .pipeline import (
 )
 from .poly import U12, XY, Endomorphism, Polynomial, VarContext
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _REFUSALS = (
     ResourceCapExceeded,
@@ -126,6 +126,32 @@ def _jacobian_doc(jac) -> dict:
     return doc
 
 
+def _kernel_doc(kernel) -> dict:
+    return {
+        "H": str(kernel.generator),
+        "r": kernel.r,
+        "coeffs": [str(c) for c in kernel.coeffs],
+    }
+
+
+def _uv_doc(dec) -> dict:
+    return {"u": str(dec.u), "v": str(dec.v), "g": str(dec.g)}
+
+
+def _units_doc(verdict) -> dict:
+    return {
+        "all_in_subring": verdict.all_units_in_Cpq,
+        "witnesses": [
+            {
+                "factor": str(w.factor),
+                "inside": w.inside,
+                "G": str(w.membership) if w.membership is not None else None,
+            }
+            for w in verdict.witnesses
+        ],
+    }
+
+
 def _report_doc(f: Endomorphism, report: ClassificationReport) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -141,17 +167,9 @@ def _report_doc(f: Endomorphism, report: ClassificationReport) -> dict:
         "stats": _stats_doc(report.stats),
     }
     if report.kernel is not None:
-        doc["kernel"] = {
-            "H": str(report.kernel.generator),
-            "r": report.kernel.r,
-            "coeffs": [str(c) for c in report.kernel.coeffs],
-        }
+        doc["kernel"] = _kernel_doc(report.kernel)
     if report.uv is not None:
-        doc["uv"] = {
-            "u": str(report.uv.u),
-            "v": str(report.uv.v),
-            "g": str(report.uv.g),
-        }
+        doc["uv"] = _uv_doc(report.uv)
     if report.v_factorization is not None:
         by_poly = {r.source: r for r in report.v_reports}
         doc["v_factors"] = [
@@ -169,17 +187,7 @@ def _report_doc(f: Endomorphism, report: ClassificationReport) -> dict:
             for vj, mult in report.v_factorization.factors
         ]
     if report.units is not None:
-        doc["units"] = {
-            "all_in_subring": report.units.all_units_in_Cpq,
-            "witnesses": [
-                {
-                    "factor": str(w.factor),
-                    "inside": w.inside,
-                    "G": str(w.membership) if w.membership is not None else None,
-                }
-                for w in report.units.witnesses
-            ],
-        }
+        doc["units"] = _units_doc(report.units)
     if report.inverse is not None:
         doc["inverse"] = {"s": str(report.inverse[0]), "t": str(report.inverse[1])}
     if report.tfae is not None:
@@ -310,11 +318,7 @@ def _cmd_kernel(args) -> int:
             {
                 "schema_version": SCHEMA_VERSION,
                 "input": {"p": str(f.p), "q": str(f.q)},
-                "kernel": {
-                    "H": str(kernel.generator),
-                    "r": kernel.r,
-                    "coeffs": [str(c) for c in kernel.coeffs],
-                },
+                "kernel": _kernel_doc(kernel),
                 "stats": _stats_doc(stats),
             },
         )
@@ -335,7 +339,7 @@ def _cmd_uv(args) -> int:
             {
                 "schema_version": SCHEMA_VERSION,
                 "input": {"p": str(f.p), "q": str(f.q)},
-                "uv": {"u": str(dec.u), "v": str(dec.v), "g": str(dec.g)},
+                "uv": _uv_doc(dec),
                 "r": dec.r,
                 "stats": _stats_doc(stats),
             },
@@ -471,17 +475,7 @@ def _cmd_units(args) -> int:
             {
                 "schema_version": SCHEMA_VERSION,
                 "input": {"p": str(f.p), "q": str(f.q), "v": str(v)},
-                "units": {
-                    "all_in_subring": verdict.all_units_in_Cpq,
-                    "witnesses": [
-                        {
-                            "factor": str(w.factor),
-                            "inside": w.inside,
-                            "G": str(w.membership) if w.membership else None,
-                        }
-                        for w in verdict.witnesses
-                    ],
-                },
+                "units": _units_doc(verdict),
                 "stats": _stats_doc(stats),
             },
         )

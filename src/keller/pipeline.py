@@ -241,17 +241,18 @@ def classify(f: Endomorphism, config: Optional[PipelineConfig] = None) -> Classi
 
     try:
         kernel = kernel_generator(f, stats=stats)
-    except (AlgebraicallyDependentError, ZeroKernelError) as exc:
-        return degenerate(str(exc))
-    except (ResourceCapExceeded, DegreeCapExceeded) as exc:
+    except (
+        AlgebraicallyDependentError,
+        ZeroKernelError,
+        ResourceCapExceeded,
+        DegreeCapExceeded,
+    ) as exc:
         return degenerate(str(exc))
     report.kernel = kernel
 
     try:
         uv = uv_decomposition(f, kernel=kernel, stats=stats)
-    except NotShapePositionError as exc:
-        return degenerate(str(exc))
-    except (ResourceCapExceeded, DegreeCapExceeded) as exc:
+    except (NotShapePositionError, ResourceCapExceeded, DegreeCapExceeded) as exc:
         return degenerate(str(exc))
     report.uv = uv
 

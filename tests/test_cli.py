@@ -141,6 +141,10 @@ class TestPinnedOutput:
         assert "v = u1" in lines
         assert "r = 1" in lines
 
+    def test_uv_prints_g_in_the_context_of_u(self, capsys):
+        _, out, _ = run(capsys, ["uv", "-p", "x*y - x^3", "-q", "y"])
+        assert "g = u3^3 - u2*u3 + u1" in out.splitlines()
+
     def test_factor_difference_of_squares(self, capsys):
         _, out, _ = run(capsys, ["factor", "-e", "x^2 - y^2"])
         lines = out.splitlines()
@@ -181,7 +185,7 @@ class TestJsonReports:
         )
         assert code == 0
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert set(doc) == {
             "schema_version", "input", "jacobian", "kernel", "uv",
             "v_factors", "units", "verdict", "inverse", "tfae", "stats",
@@ -204,6 +208,20 @@ class TestJsonReports:
         assert doc["jacobian"]["is_constant"] is False
         assert doc["inverse"] is None
         assert doc["tfae"] is None
+
+    @pytest.mark.parametrize(
+        "p, q", [("x", "y + x^2"), ("x", "x*y"), ("x*y", "x + y^2"), ("x*y - x^3", "y")]
+    )
+    def test_command_sections_match_check(self, capsys, tmp_path, p, q):
+        def doc(argv):
+            path = tmp_path / "r.json"
+            run(capsys, argv + ["-p", p, "-q", q, "--json", str(path)])
+            return json.loads(path.read_text())
+
+        full = doc(["check", "--force"])
+        assert doc(["kernel"])["kernel"] == full["kernel"]
+        assert doc(["uv"])["uv"] == full["uv"]
+        assert doc(["units", "-v", full["uv"]["v"]])["units"] == full["units"]
 
     def test_json_deterministic_up_to_millis(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

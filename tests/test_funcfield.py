@@ -1,135 +1,115 @@
-"""Tests for rational function coefficients, shape bases, and u/v splitting."""
-
-from fractions import Fraction
+"""Tests for the shape basis and the u/v splitting of the second variable."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from keller.errors import (
     AlgebraicallyDependentError,
     InternalInconsistencyError,
     NotShapePositionError,
 )
-from keller.funcfield import (
-    FFPolynomial,
-    RationalFunction,
-    shape_basis,
-    uv_decomposition,
-)
-from keller.groebner import kernel_generator
+from keller.funcfield import shape_basis, uv_decomposition
+from keller.groebner import RunStats, _cached_tag_basis, kernel_generator
 from keller.parsing import parse_poly
-from keller.poly import U12, U123, XY, Endomorphism, Polynomial
+from keller.poly import U12, U123, XY, Endomorphism, Polynomial, compose, poly_gcd
 from keller.tame import random_tame
 
 U1 = Polynomial.variable(U12, "u1")
-U2 = Polynomial.variable(U12, "u2")
 X = Polynomial.variable(XY, "x")
 Y = Polynomial.variable(XY, "y")
-ONE = RationalFunction.from_scalar(U12, 1)
 
 
-def rf(num, den=None):
-    return RationalFunction(num, den)
+def uuu(text):
+    return parse_poly(text, U123)
 
 
-class TestRationalFunction:
-    def test_reduces_to_lowest_terms(self):
-        q = rf(U1**2 - U2**2, U1 + U2)
-        assert q.num == U1 - U2
-        assert q.is_polynomial()
-
-    def test_denominator_normalized(self):
-        q = rf(U1, 2 * U2)
-        assert q.den == U2
-        assert q.num == Polynomial.constant(U12, Fraction(1, 2)) * U1
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            rf(U1, Polynomial.zero(U12))
-
-    def test_zero_numerator_collapses(self):
-        q = rf(Polynomial.zero(U12), U1)
-        assert q.is_zero()
-        assert q.den == Polynomial.constant(U12, 1)
-
-    def test_field_laws_on_samples(self):
-        a = rf(U1, U2)
-        b = rf(U2 + U1, U1)
-        c = rf(Polynomial.constant(U12, 3), U1 * U2)
-        assert (a + b) * c == a * c + b * c
-        assert (a - a).is_zero()
-        assert (a / b) * b == a
-        assert -(-a) == a
-
-    def test_division_by_zero_function(self):
-        with pytest.raises(ZeroDivisionError):
-            rf(U1) / rf(Polynomial.zero(U12))
-
-    def test_string_forms(self):
-        assert str(rf(U1)) == "u1"
-        assert str(rf(U1, U2)) == "u1/u2"
-        assert str(rf(U1 + U2, U2)) == "(u2 + u1)/u2"
-
-    def test_immutable(self):
-        q = rf(U1)
-        with pytest.raises(AttributeError):
-            q.num = U2
+def coefficients_in_u3(u):
+    """{k: coefficient of u3^k} as polynomials in (u1, u2)."""
+    out = {}
+    for (e1, e2, k), c in u.terms.items():
+        out.setdefault(k, {})[(e1, e2)] = c
+    return {k: Polynomial(U12, t) for k, t in out.items()}
 
 
-class TestFFPolynomial:
-    def test_zero_coefficients_dropped(self):
-        p = FFPolynomial(U12, {(1, 0): ONE, (0, 1): ONE - ONE})
-        assert list(p.terms) == [(1, 0)]
-
-    def test_leading_term_prefers_y(self):
-        p = FFPolynomial(U12, {(5, 0): ONE, (0, 1): ONE})
-        assert p.leading_exponent() == (0, 1)
-
-    def test_arithmetic(self):
-        x_term = FFPolynomial(U12, {(1, 0): ONE})
-        const = FFPolynomial(U12, {(0, 0): rf(U1)})
-        p = x_term + const
-        assert (p - x_term) == const
-        sq = p * p
-        assert sq.coefficient(2, 0) == ONE
-        assert sq.coefficient(1, 0) == rf(2 * U1)
-
-    def test_monic_divides_by_leading(self):
-        p = FFPolynomial(U12, {(2, 0): rf(U2), (0, 0): rf(U1 * U2)})
-        m = p.monic()
-        assert m.leading_coefficient() == ONE
-        assert m.coefficient(0, 0) == rf(U1)
-
-    def test_bad_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            FFPolynomial(U12, {(1, 0, 0): ONE})
+def times_xy(t):
+    """(x, x*y) after t: the map (t.p, t.p * t.q)."""
+    return Endomorphism(t.p, t.p * t.q)
 
 
 class TestShapeBasis:
     def test_shear(self):
         sb = shape_basis(Endomorphism(X, Y + X**2))
         assert sb.r == 1
-        assert sb.g.degree_in_x() == 1
+        assert sb.g == uuu("u1 - u3")
         # y = q - p^2 in the image field
-        assert sb.h.terms == {(0, 0): rf(U2 - U1**2)}
+        assert sb.u == uuu("u2 - u1^2")
+        assert sb.v == Polynomial.constant(U12, 1)
 
     def test_x_times_y(self):
         sb = shape_basis(Endomorphism(X, X * Y))
         assert sb.r == 1
-        assert sb.h.terms == {(0, 0): rf(U2, U1)}
+        assert (sb.u, sb.v) == (uuu("u2"), U1)
 
     def test_square_first_coordinate(self):
         sb = shape_basis(Endomorphism(X**2, Y))
         assert sb.r == 2
-        assert sb.g.coefficient(0, 0) == rf(-U1)
+        assert sb.g == uuu("u1 - u3^2")
+
+    def test_g_is_cleared_in_the_context_of_u(self):
+        sb = shape_basis(Endomorphism(X * Y - X**3, Y))
+        assert sb.r == 3
+        assert str(sb.g) == "u3^3 - u2*u3 + u1"
 
     def test_not_shape_position(self):
         with pytest.raises(NotShapePositionError) as err:
             shape_basis(Endomorphism(X**2, Y**2))
-        assert "(0, 2)" in str(err.value) and "(2, 0)" in str(err.value)
+        assert str(err.value) == (
+            "basis is not in shape position; leading terms [(0, 2), (2, 0)]"
+        )
 
     def test_dependent_images(self):
         with pytest.raises(AlgebraicallyDependentError):
             shape_basis(Endomorphism(X, X))
+
+    def test_two_steps_with_a_nonconstant_leading_coefficient(self):
+        f = times_xy(random_tame(5)[0])
+        # the tag basis holds G = 3*u1^2*x + ... and 6*u1*y - 3*u1*x^2 + ...:
+        # A has degree r + 1 in x, so the division takes two steps, and
+        # D = 6*u1 * (3*u1^2)^2 shares u1 with every coefficient of R
+        basis = [str(b) for b in _cached_tag_basis(f, RunStats())]
+        assert "4*u2^2 - 16*u1*u2 + 18*u1^2 + u1^3 + 3*x*u1^2" in basis
+        assert "4*u2 - 8*u1 - 3*x^2*u1 + 6*y*u1" in basis
+        sb = shape_basis(f)
+        assert sb.r == 1
+        assert sb.v == U1**4
+        assert sb.u == uuu(
+            "8/9*u2^4 - 64/9*u1*u2^3 + 200/9*u1^2*u2^2 - 98/3*u1^3*u2"
+            " + 4/9*u1^3*u2^2 + 58/3*u1^4 - 16/9*u1^4*u2 + 2*u1^5 + 1/18*u1^6"
+        )
+        assert sb.g == uuu("4*u2^2 - 16*u1*u2 + 18*u1^2 + 3*u1^2*u3 + u1^3")
+
+    @given(
+        st.integers(0, 999),
+        st.sampled_from([lambda t: t, times_xy]),
+        st.booleans(),
+    )
+    def test_output_is_fixed_completely(self, seed, left, square_x):
+        t = left(random_tame(seed)[0])
+        f = compose(t, Endomorphism(X**2, Y)) if square_x else t
+        sb = shape_basis(f)
+        assert sb.r == (2 if square_x else 1)
+        v_img = sb.v.substitute({"u1": f.p, "u2": f.q})
+        u_img = sb.u.substitute({"u1": f.p, "u2": f.q, "u3": X})
+        assert v_img * Y == u_img
+        coeffs = coefficients_in_u3(sb.u)
+        assert max(coeffs, default=0) < sb.r
+        d = sb.v
+        for c in coeffs.values():
+            d = poly_gcd(d, c)
+        assert d.is_constant()
+        assert sb.v == sb.v.normalized()
+        assert sb.g == kernel_generator(f).generator.normalized()
 
 
 class TestUVDecomposition:
