@@ -38,7 +38,6 @@ from .groebner import (
     KernelGenerator,
     MonomialOrder,
     RunStats,
-    birationality_degree,
     block_order,
     buchberger,
     eliminate,
@@ -49,11 +48,9 @@ from .groebner import (
 from .parsing import parse_expression, parse_poly
 from .pipeline import (
     ClassificationReport,
-    PipelineConfig,
     TfaeReport,
     Verdict,
     classify,
-    cross_check_tfae,
     invert,
     verify_inverse,
 )
@@ -66,13 +63,9 @@ from .poly import (
     Polynomial,
     VarContext,
     compose,
-    gcd_and_content,
     identity_map,
     jacobian_det,
-    partial_derivative,
     poly_gcd,
-    poly_lcm,
-    substitute,
 )
 from .tame import (
     Affine,

@@ -20,7 +20,6 @@ from typing import List, Optional
 from .errors import (
     AlgebraicallyDependentError,
     DegreeCapExceeded,
-    KellerError,
     MembershipFailedError,
     NotShapePositionError,
     ParseError,
@@ -33,7 +32,6 @@ from .factor import (
     factor_bivariate,
     factorially_closed_probe,
     localization_units_check,
-    stays_irreducible,
 )
 from .funcfield import uv_decomposition
 from .groebner import (
@@ -50,16 +48,9 @@ from .groebner import (
     subring_membership,
 )
 from .parsing import parse_poly
-from .pipeline import (
-    ClassificationReport,
-    PipelineConfig,
-    Verdict,
-    classify,
-    invert,
-    random_tame,
-    verify_inverse,
-)
-from .poly import U12, XY, Endomorphism, Polynomial, VarContext
+from .pipeline import ClassificationReport, Verdict, classify, invert, verify_inverse
+from .poly import U12, XY, Endomorphism, VarContext
+from .tame import random_tame
 
 SCHEMA_VERSION = 2
 
@@ -253,24 +244,19 @@ def _print_report(f: Endomorphism, report: ClassificationReport) -> None:
 def _cmd_check(args) -> int:
     if not args.batch and (args.p is None or args.q is None):
         raise UsageError("check needs -p and -q, or --batch FILE")
-    budgets = _run_stats(args)
-    cfg = PipelineConfig(
-        max_spairs=budgets.spair_budget,
-        max_degree=budgets.degree_budget,
-        force=args.force,
-        absolute=args.absolute,
-    )
+    # read before a batch starts, so a bad KELLER_MAX_SPAIRS fails at once
+    stats = _run_stats(args)
     if args.batch:
-        return _cmd_check_batch(args, cfg)
+        return _cmd_check_batch(args)
     f = _parse_map(args.p, args.q)
-    report = classify(f, cfg)
+    report = classify(f, stats=stats, force=args.force, absolute=args.absolute)
     _print_report(f, report)
     if args.json:
         _write_json(args.json, _report_doc(f, report))
     return 1 if report.verdict is Verdict.DEGENERATE else 0
 
 
-def _cmd_check_batch(args, cfg: PipelineConfig) -> int:
+def _cmd_check_batch(args) -> int:
     docs = []
     worst = 0
     with open(args.batch, "r", encoding="utf-8") as fh:
@@ -293,7 +279,10 @@ def _cmd_check_batch(args, cfg: PipelineConfig) -> int:
             worst = max(worst, 2)
             index += 1
             continue
-        report = classify(f, cfg)
+        # each map gets its own budgets and counters
+        report = classify(
+            f, stats=_run_stats(args), force=args.force, absolute=args.absolute
+        )
         print(f"[{index}] {f.p} ; {f.q} -> {report.verdict.value}")
         docs.append(_report_doc(f, report))
         if report.verdict is Verdict.DEGENERATE:
@@ -307,7 +296,8 @@ def _cmd_check_batch(args, cfg: PipelineConfig) -> int:
 def _cmd_kernel(args) -> int:
     stats = _run_stats(args)
     f = _parse_map(args.p, args.q)
-    kernel = kernel_generator(f, stats=stats)
+    with stats.timed():
+        kernel = kernel_generator(f, stats=stats)
     print(f"H = {kernel.generator}")
     print(f"r = {kernel.r}")
     for i, c in enumerate(kernel.coeffs):
@@ -328,7 +318,8 @@ def _cmd_kernel(args) -> int:
 def _cmd_uv(args) -> int:
     stats = _run_stats(args)
     f = _parse_map(args.p, args.q)
-    dec = uv_decomposition(f, stats=stats)
+    with stats.timed():
+        dec = uv_decomposition(f, stats=stats)
     print(f"u = {dec.u}")
     print(f"v = {dec.v}")
     print(f"r = {dec.r}")
@@ -357,8 +348,9 @@ def _cmd_invert(args) -> int:
             file=sys.stderr,
         )
         return 1
-    s, t = invert(f, stats=stats)
-    ok = verify_inverse(f, s, t)
+    with stats.timed():
+        s, t = invert(f, stats=stats)
+        ok = verify_inverse(f, s, t)
     print(f"s = {s}")
     print(f"t = {t}")
     print(f"verified = {ok}")
@@ -380,7 +372,8 @@ def _cmd_member(args) -> int:
     stats = _run_stats(args)
     f = _parse_map(args.p, args.q)
     w = parse_poly(args.w, XY)
-    G = subring_membership(w, f, stats=stats)
+    with stats.timed():
+        G = subring_membership(w, f, stats=stats)
     if G is None:
         print("not a member of the image subalgebra")
     else:
@@ -399,18 +392,10 @@ def _cmd_member(args) -> int:
     return 0
 
 
-_CTX_BY_NAMES = {
-    ("x", "y"): XY,
-    ("u1", "u2"): U12,
-}
-
-
 def _context_from(names_text: str) -> VarContext:
     names = tuple(n.strip() for n in names_text.split(",") if n.strip())
     if not names:
         raise UsageError("no variables given")
-    if names in _CTX_BY_NAMES:
-        return _CTX_BY_NAMES[names]
     try:
         return VarContext(names)
     except ValueError as exc:
@@ -462,7 +447,8 @@ def _cmd_units(args) -> int:
     v = parse_poly(args.v, U12)
     if v.is_zero():
         raise UsageError("v must be a nonzero polynomial")
-    verdict = localization_units_check(f, v, degree_cap=args.degree_cap, stats=stats)
+    with stats.timed():
+        verdict = localization_units_check(f, v, degree_cap=args.degree_cap, stats=stats)
     print(f"all units in subring: {verdict.all_units_in_Cpq}")
     for w in verdict.witnesses:
         if w.inside:
@@ -562,7 +548,11 @@ def _cmd_gb(args) -> int:
     ctx = _context_from(args.vars)
     gens = [parse_poly(g, ctx) for g in args.gens]
     order = _order_from(args.order, ctx.arity)
-    basis = buchberger(Ideal(ctx, gens), order, stats=stats)
+    ideal = Ideal(ctx, gens)
+    if not ideal.generators:
+        raise UsageError("every generator is zero: the zero ideal has no basis here")
+    with stats.timed():
+        basis = buchberger(ideal, order, stats=stats)
     for g in basis:
         print(g)
     if args.json:

@@ -275,8 +275,9 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
         return sorted(both, key=lambda g: (g.total_degree(), str(g)))
     part = prim
 
+    # primitive in x and linear in x: irreducible
     if part.degree_in(xn) == 1:
-        return _linear_in_main(part, xi, yi)
+        return [part.normalized()]
 
     n = part.degree_in(xn)
     coeffs = _coeffs_in(part, xi)
@@ -358,25 +359,6 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
     if check_prim != part_prim:
         raise InternalInconsistencyError("bivariate factors failed to multiply back")
     return sorted(out, key=lambda g: (g.total_degree(), str(g)))
-
-
-def _linear_in_main(part: Polynomial, xi: int, yi: int) -> List[Polynomial]:
-    """Factor a polynomial of degree 1 in its main variable."""
-    coeffs = _coeffs_in(part, xi)
-    a = coeffs.get(1)
-    b = coeffs.get(0, Polynomial.zero(part.context))
-    if b.is_zero():
-        # a(y) * x
-        out = _factor_univariate_image(a, part.context.names[yi]) if not a.is_constant() else []
-        out.append(Polynomial.variable(part.context, part.context.names[xi]))
-        return out
-    g = poly_gcd(a, b)
-    if g.is_constant():
-        return [part.normalized()]
-    rest = part.exact_div(g)
-    out = _factor_univariate_image(g, part.context.names[yi])
-    out.append(rest.normalized())
-    return out
 
 
 def _eval_points():

@@ -16,11 +16,13 @@ it creates a term of total degree above ``degree_budget``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from typing import Iterable, List, Optional, Sequence, Tuple
+from time import perf_counter
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .errors import (
     AlgebraicallyDependentError,
@@ -59,6 +61,15 @@ class RunStats:
         self.spairs += other.spairs
         self.max_degree = max(self.max_degree, other.max_degree)
         self.millis += other.millis
+
+    @contextmanager
+    def timed(self) -> Iterator[None]:
+        """Add the wall time of the ``with`` body to ``millis``."""
+        start = perf_counter()
+        try:
+            yield
+        finally:
+            self.millis += int((perf_counter() - start) * 1000)
 
 
 @dataclass(frozen=True)
@@ -504,19 +515,6 @@ def kernel_generator(
     for i in range(r + 1):
         coeffs.append(Polynomial(U12, split.get(i, {})))
     return KernelGenerator(H, r, tuple(coeffs))
-
-
-def birationality_degree(
-    f: Endomorphism,
-    *,
-    stats: Optional[RunStats] = None,
-) -> int:
-    """Degree of the plane variable over the field generated by the images.
-
-    Equals 1 exactly when adjoining the first variable to the image field
-    already gives the whole rational function field.
-    """
-    return kernel_generator(f, stats=stats).r
 
 
 # -- membership in the image subalgebra -------------------------------------

@@ -16,7 +16,6 @@ from the units check; the two routes must agree or the run aborts.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -24,7 +23,6 @@ from .errors import (
     AlgebraicallyDependentError,
     DegreeCapExceeded,
     InternalInconsistencyError,
-    KellerError,
     MembershipFailedError,
     NotShapePositionError,
     ResourceCapExceeded,
@@ -37,46 +35,19 @@ from .factor import (
     UnitsVerdict,
     _units_verdict,
     factor_bivariate,
-    factorially_closed_probe,
-    localization_units_check,
     stays_irreducible,
 )
 from .funcfield import UVDecomposition, uv_decomposition
-from .groebner import (
-    DEFAULT_MAX_DEGREE,
-    DEFAULT_MAX_SPAIRS,
-    KernelGenerator,
-    RunStats,
-    birationality_degree,
-    kernel_generator,
-    subring_membership,
-)
+from .groebner import KernelGenerator, RunStats, kernel_generator, subring_membership
 from .poly import U12, XY, Endomorphism, JacobianInfo, Polynomial
-from .tame import (
-    Affine,
-    ElementaryX,
-    ElementaryY,
-    TameRecipe,
-    generate_tame,
-    random_tame,
-)
 
 __all__ = [
-    "Affine",
-    "ElementaryX",
-    "ElementaryY",
-    "TameRecipe",
-    "generate_tame",
-    "random_tame",
     "Verdict",
-    "PipelineConfig",
     "ClassificationReport",
     "TfaeReport",
     "classify",
     "invert",
     "verify_inverse",
-    "cross_check_tfae",
-    "birationality_degree",
 ]
 
 
@@ -86,17 +57,6 @@ class Verdict(enum.Enum):
     DEGENERATE = "Degenerate"
     AUTOMORPHISM = "Automorphism"
     COUNTEREXAMPLE_CANDIDATE = "CounterexampleCandidate"
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Options of one classification; the two budgets become the run's
-    ``RunStats.spair_budget`` and ``RunStats.degree_budget``."""
-
-    max_spairs: int = DEFAULT_MAX_SPAIRS
-    max_degree: int = DEFAULT_MAX_DEGREE
-    force: bool = False
-    absolute: bool = False
 
 
 @dataclass(frozen=True)
@@ -178,65 +138,49 @@ def verify_inverse(f: Endomorphism, s: Polynomial, t: Polynomial) -> bool:
     return f.p.substitute(fwd) == u1 and f.q.substitute(fwd) == u2
 
 
-def cross_check_tfae(
+def classify(
     f: Endomorphism,
     *,
     stats: Optional[RunStats] = None,
-) -> TfaeReport:
-    """Evaluate the three equivalent conditions independently.
+    force: bool = False,
+    absolute: bool = False,
+) -> ClassificationReport:
+    """Run the staged decision procedure and assemble the evidence.
 
-    Requires a constant nonzero Jacobian; the bits are computed separately
-    precisely so their agreement is evidence rather than construction.
+    Every stage charges ``stats`` (a fresh ``RunStats`` when None), whose
+    budgets cap the Groebner work, and the run's wall time is added to
+    ``stats.millis``. ``force`` computes the evidence for a map that fails
+    the Jacobian gate; ``absolute`` also certifies absolute irreducibility
+    of the v-factors.
     """
-    if f.jacobian.kind != "constant":
-        raise ValueError("the three-way check expects a constant nonzero Jacobian")
-    kernel = kernel_generator(f, stats=stats)
-    bit_ii = kernel.r == 1
-
-    uv = uv_decomposition(f, kernel=kernel, stats=stats)
-    units = localization_units_check(f, uv.v, stats=stats)
-    bit_iii = units.all_units_in_Cpq
-
-    try:
-        s, t = invert(f, stats=stats)
-        bit_i = verify_inverse(f, s, t)
-    except MembershipFailedError:
-        bit_i = False
-    return TfaeReport(bit_i, bit_ii, bit_iii)
+    stats = RunStats() if stats is None else stats
+    with stats.timed():
+        return _classify(f, stats, force, absolute)
 
 
-def classify(f: Endomorphism, config: Optional[PipelineConfig] = None) -> ClassificationReport:
-    """Run the staged decision procedure and assemble the evidence."""
-    cfg = config or PipelineConfig()
-    stats = RunStats(spair_budget=cfg.max_spairs, degree_budget=cfg.max_degree)
-    start = time.perf_counter()
-    notes = []
-
+def _classify(
+    f: Endomorphism, stats: RunStats, force: bool, absolute: bool
+) -> ClassificationReport:
     jac = f.jacobian
     keller = jac.kind == "constant"
+    report = ClassificationReport(Verdict.DEGENERATE, jac, stats=stats)
+    notes = []
     if not keller:
-        verdict = (
+        report.verdict = (
             Verdict.NOT_KELLER_ZERO
             if jac.kind == "zero"
             else Verdict.NOT_KELLER_NONCONSTANT
         )
-        if not cfg.force:
-            stats.millis = int((time.perf_counter() - start) * 1000)
-            return ClassificationReport(verdict, jac, stats=stats)
+        if not force:
+            return report
         notes.append(_GATE_NOTE)
-
-    report = ClassificationReport(
-        Verdict.DEGENERATE if keller else verdict, jac, stats=stats
-    )
 
     def degenerate(reason: str) -> ClassificationReport:
         if keller:
-            report.verdict = Verdict.DEGENERATE
             report.degenerate_reason = reason
         else:
             notes.append(f"evidence stopped early: {reason}")
         report.notes = tuple(notes)
-        stats.millis = int((time.perf_counter() - start) * 1000)
         return report
 
     try:
@@ -260,7 +204,7 @@ def classify(f: Endomorphism, config: Optional[PipelineConfig] = None) -> Classi
         vfact = factor_bivariate(
             uv.v,
             degree_cap=max(DEFAULT_FACTOR_DEGREE_CAP, uv.v.total_degree()),
-            absolute=cfg.absolute,
+            absolute=absolute,
         )
         report.v_factorization = vfact
         report.v_reports = tuple(
@@ -288,27 +232,25 @@ def classify(f: Endomorphism, config: Optional[PipelineConfig] = None) -> Classi
             "the birationality route and the units route disagree"
         )
 
-    if keller and bit_ii:
-        s, t = invert(f, stats=stats)
-        if not verify_inverse(f, s, t):
-            raise InternalInconsistencyError("computed inverse failed verification")
-        report.inverse = (s, t)
-        report.verdict = Verdict.AUTOMORPHISM
-        report.tfae = TfaeReport(True, bit_ii, bit_iii)
-    elif keller:
-        report.verdict = Verdict.COUNTEREXAMPLE_CANDIDATE
-        notes.append(_CANDIDATE_NOTE)
+    # a non-Keller map gets no inverse claim: its evidence is informational
+    if keller:
         try:
             s, t = invert(f, stats=stats)
             bit_i = verify_inverse(f, s, t)
         except MembershipFailedError:
+            # at r = 1 both memberships must exist
+            if bit_ii:
+                raise
             bit_i = False
+        if bit_ii:
+            if not bit_i:
+                raise InternalInconsistencyError("computed inverse failed verification")
+            report.inverse = (s, t)
+            report.verdict = Verdict.AUTOMORPHISM
+        else:
+            report.verdict = Verdict.COUNTEREXAMPLE_CANDIDATE
+            notes.append(_CANDIDATE_NOTE)
         report.tfae = TfaeReport(bit_i, bit_ii, bit_iii)
-    else:
-        # informational run on a non-Keller map: no inverse claim is made,
-        # but record whichever facts were computed
-        report.tfae = None
 
     report.notes = tuple(notes)
-    stats.millis = int((time.perf_counter() - start) * 1000)
     return report

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from . import univariate as uni
 from .errors import (
@@ -543,17 +543,6 @@ class Polynomial:
         return f"Poly[{', '.join(self.context.names)}]({self})"
 
 
-# -- module-level operations ---------------------------------------------
-
-
-def partial_derivative(p: Polynomial, name: str) -> Polynomial:
-    return p.diff(name)
-
-
-def substitute(p: Polynomial, images: Mapping[str, Polynomial]) -> Polynomial:
-    return p.substitute(images)
-
-
 @dataclass(frozen=True)
 class JacobianInfo:
     """The Jacobian determinant of a plane map together with its shape.
@@ -820,19 +809,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     ca, pa = a.content_and_primitive()
     cb, pb = b.content_and_primitive()
     return _frac_gcd(ca, cb) * _gcd_prim(pa, pb)
-
-
-def gcd_and_content(a: Polynomial, b: Polynomial):
-    """(gcd, (content of a, content of b)); see poly_gcd for conventions."""
-    g = poly_gcd(a, b)
-    return g, (a.content_and_primitive()[0], b.content_and_primitive()[0])
-
-
-def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero() or b.is_zero():
-        raise ValueError("lcm with the zero polynomial is undefined")
-    g = poly_gcd(a, b)
-    return (a * b).exact_div(g).normalized()
 
 
 # -- plane endomorphisms --------------------------------------------------

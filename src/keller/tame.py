@@ -9,7 +9,7 @@ and used as ground truth in round-trip tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 

@@ -7,7 +7,7 @@ optimized code paths, so agreement between the two is meaningful.
 from fractions import Fraction
 from itertools import combinations
 
-from keller.poly import Polynomial, VarContext
+from keller.poly import Polynomial
 
 
 # -- reference products and substitution -------------------------------------

@@ -19,7 +19,6 @@ from keller import (
     XY,
     Endomorphism,
     Ideal,
-    PipelineConfig,
     Polynomial,
     VarContext,
     Verdict,
@@ -126,7 +125,7 @@ def test_criterion_03_hand_oracles():
     timings.append(time.perf_counter() - start)
 
     start = time.perf_counter()
-    rep = classify(Endomorphism(X**2, Y), PipelineConfig(force=True))
+    rep = classify(Endomorphism(X**2, Y), force=True)
     assert rep.verdict is Verdict.NOT_KELLER_NONCONSTANT
     assert rep.kernel.generator == uuu("u3^2 - u1")
     assert rep.kernel.r == 2

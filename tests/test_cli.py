@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, pinned output, JSON reports."""
 
+import contextlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import keller.groebner as groebner_module
 from keller.cli import main
 
 
@@ -59,6 +64,7 @@ class TestExitCodes:
             ["units", "-p", "x", "-q", "y", "-v", "0"],
             ["gb", "-g", "x", "--order", "block:abc"],
             ["gb", "-g", "x", "--order", "block:"],
+            ["gb", "-g", "0", "-g", "0*x"],
             ["factor", "-e", "x", "--vars", "x,x"],
             ["gb", "-g", "x", "--vars", "1a"],
             ["gen", "--steps", "0"],
@@ -76,6 +82,7 @@ class TestExitCodes:
             "units-zero-v",
             "gb-block-not-a-number",
             "gb-block-empty",
+            "gb-zero-ideal",
             "factor-duplicate-variables",
             "gb-invalid-variable-name",
             "gen-zero-steps",
@@ -232,6 +239,31 @@ class TestJsonReports:
         db["stats"].pop("millis")
         assert da == db
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "-p", "x", "-q", "y + x^2"],
+            ["kernel", "-p", "x", "-q", "y + x^2"],
+            ["uv", "-p", "x", "-q", "y + x^2"],
+            ["invert", "-p", "x", "-q", "y + x^2"],
+            ["member", "-p", "x", "-q", "y + x^2", "-w", "y"],
+            ["units", "-p", "x", "-q", "y + x^2", "-v", "u1"],
+            ["gb", "-g", "x^2 - y", "-g", "x*y"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_millis_is_the_wall_time_of_the_computation(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        # the clock reads 0.0, 0.25, 0.5, ... so the one timed block takes
+        # 250 ms
+        ticks = iter(range(1000))
+        monkeypatch.setattr(groebner_module, "perf_counter", lambda: next(ticks) / 4)
+        path = tmp_path / "r.json"
+        code, _, _ = run(capsys, argv + ["--json", str(path)])
+        assert code == 0
+        assert json.loads(path.read_text())["stats"]["millis"] == 250
+
     def test_stdout_byte_identical(self, capsys):
         _, out1, _ = run(capsys, ["check", "-p", "x + y^2", "-q", "y"])
         _, out2, _ = run(capsys, ["check", "-p", "x + y^2", "-q", "y"])
@@ -313,3 +345,52 @@ class TestEnvironment:
         assert code == 2
         assert out == ""
         assert flag in err
+
+
+# polynomials of degree <= 2 in each variable, as CLI text
+def _poly_text(names):
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    terms = st.dictionaries(exps, st.integers(-3, 3).filter(bool), max_size=4)
+
+    def text(ts):
+        if not ts:
+            return "0"
+        return " + ".join(
+            f"({c})*{names[0]}^{i}*{names[1]}^{j}" for (i, j), c in sorted(ts.items())
+        )
+
+    return terms.map(text)
+
+
+@st.composite
+def _argv(draw):
+    xy, uu = _poly_text(("x", "y")), _poly_text(("u1", "u2"))
+    command = draw(
+        st.sampled_from(["check", "kernel", "uv", "invert", "member", "units", "factor", "gb"])
+    )
+    if command == "factor":
+        argv = ["factor", "-e", draw(xy), "--degree-cap", "6"]
+        if draw(st.booleans()):
+            argv.append("--absolute")
+    elif command == "gb":
+        argv = ["gb", "--order", draw(st.sampled_from(["lex", "grevlex", "block:1"]))]
+        for g in draw(st.lists(xy, min_size=1, max_size=3)):
+            argv += ["-g", g]
+    else:
+        argv = [command, "-p", draw(xy), "-q", draw(xy)]
+        if command == "check" and draw(st.booleans()):
+            argv.append("--force")
+        elif command == "member":
+            argv += ["-w", draw(xy)]
+        elif command == "units":
+            argv += ["-v", draw(uu), "--degree-cap", "6"]
+    return argv + ["--max-spairs", "40", "--max-degree", "12"]
+
+
+class TestExitCodeProperty:
+    @given(_argv())
+    def test_main_returns_an_exit_code_and_raises_nothing(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            assert main(argv) in (0, 1, 2)

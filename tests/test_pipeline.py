@@ -1,28 +1,15 @@
 """End-to-end classification tests: verdicts, inverses, and the TFAE bits."""
 
-import random
-
 import pytest
 
 import keller.factor as factor_module
+import keller.groebner as groebner_module
 import keller.pipeline as pipeline_module
-from keller.errors import DegreeCapExceeded, MembershipFailedError, ResourceCapExceeded
-from keller.groebner import RunStats, clear_caches
-from keller.pipeline import (
-    ClassificationReport,
-    PipelineConfig,
-    TfaeReport,
-    Verdict,
-    birationality_degree,
-    classify,
-    cross_check_tfae,
-    generate_tame,
-    invert,
-    random_tame,
-    verify_inverse,
-)
+from keller.errors import MembershipFailedError
+from keller.groebner import RunStats, clear_caches, kernel_generator
+from keller.pipeline import TfaeReport, Verdict, classify, invert, verify_inverse
 from keller.poly import U12, XY, Endomorphism, Polynomial, compose, identity_map
-from keller.tame import Affine, ElementaryX, TameRecipe
+from keller.tame import Affine, ElementaryX, TameRecipe, generate_tame, random_tame
 
 X = Polynomial.variable(XY, "x")
 Y = Polynomial.variable(XY, "y")
@@ -50,9 +37,7 @@ class TestClassifyVerdicts:
         assert report.verdict is Verdict.NOT_KELLER_ZERO
 
     def test_forced_evidence_on_x_times_y(self):
-        report = classify(
-            Endomorphism(X, X * Y), PipelineConfig(force=True)
-        )
+        report = classify(Endomorphism(X, X * Y), force=True)
         assert report.verdict is Verdict.NOT_KELLER_NONCONSTANT
         assert report.kernel is not None and report.kernel.r == 1
         assert report.uv.u == Polynomial.variable(report.uv.u.context, "u2")
@@ -78,6 +63,23 @@ class TestClassifyVerdicts:
         assert report.stats.millis >= 0
         assert report.stats.spairs >= 0
 
+    def test_report_stats_are_the_callers(self, monkeypatch):
+        # the clock reads 0.0, 0.25, 0.5, ... so one run takes 250 ms
+        ticks = iter(range(1000))
+        monkeypatch.setattr(groebner_module, "perf_counter", lambda: next(ticks) / 4)
+        stats = RunStats(millis=5, spair_budget=100)
+        report = classify(Endomorphism(X, Y + X**2), stats=stats)
+        assert report.stats is stats
+        assert stats.millis == 5 + 250
+        assert stats.max_degree > 0
+
+    def test_membership_failure_at_r_1_propagates(self, monkeypatch):
+        # r = 1 promises both memberships, so a failed one is an internal
+        # error and not a verdict
+        monkeypatch.setattr(pipeline_module, "subring_membership", lambda *a, **k: None)
+        with pytest.raises(MembershipFailedError):
+            classify(Endomorphism(X, Y + X**2))
+
     def test_spairs_count_work_not_cache_hits(self):
         # seed 50: the kernel generator takes 3 S-pairs and the tag basis 3;
         # a warm rerun reuses the cached tag basis and only redoes the kernel
@@ -101,7 +103,7 @@ class TestClassifyVerdicts:
 
         monkeypatch.setattr(factor_module, "factor_bivariate", counting)
         monkeypatch.setattr(pipeline_module, "factor_bivariate", counting)
-        report = classify(Endomorphism(X, X * Y), PipelineConfig(force=True))
+        report = classify(Endomorphism(X, X * Y), force=True)
         assert report.units.all_units_in_Cpq
         assert calls.count(X) == 1
         assert calls.count(U1) <= 2
@@ -109,7 +111,7 @@ class TestClassifyVerdicts:
     def test_cap_refusal_becomes_degenerate_for_keller_map(self):
         report = classify(
             Endomorphism(X + Y**3, Y + (X + Y**3) ** 2),
-            PipelineConfig(max_degree=2),
+            stats=RunStats(degree_budget=2),
         )
         assert report.stats.degree_budget == 2
         assert report.verdict is Verdict.DEGENERATE
@@ -165,27 +167,31 @@ class TestBirationalityDegree:
         ],
     )
     def test_known_degrees(self, f, expected):
-        assert birationality_degree(f) == expected
+        assert kernel_generator(f).r == expected
 
 
 class TestCrossCheckTfae:
+    """classify evaluates the three bits independently and checks that
+    they agree."""
+
     def test_shear(self):
-        t = cross_check_tfae(Endomorphism(X, Y + X**2))
+        t = classify(Endomorphism(X, Y + X**2)).tfae
         assert (t.i, t.ii, t.iii) == (True, True, True)
         assert t.consistent
 
     def test_swap(self):
-        t = cross_check_tfae(Endomorphism(Y, X))
+        t = classify(Endomorphism(Y, X)).tfae
         assert t.consistent and t.i
 
     def test_rejects_non_keller(self):
-        with pytest.raises(ValueError):
-            cross_check_tfae(Endomorphism(X**2, Y))
+        # no bits for a map that fails the Jacobian gate, even when forced
+        assert classify(Endomorphism(X**2, Y)).tfae is None
+        assert classify(Endomorphism(X**2, Y), force=True).tfae is None
 
     @pytest.mark.parametrize("seed", [2, 5, 8])
     def test_tame_consistent(self, seed):
         f, _ = random_tame(seed)
-        t = cross_check_tfae(f)
+        t = classify(f).tfae
         assert (t.i, t.ii, t.iii) == (True, True, True)
 
 
@@ -260,9 +266,8 @@ class TestClassifyProperties:
 
     def test_deterministic_report(self):
         f = Endomorphism(X, X * Y)
-        cfg = PipelineConfig(force=True)
-        a = classify(f, cfg)
-        b = classify(f, cfg)
+        a = classify(f, force=True)
+        b = classify(f, force=True)
         assert a.verdict == b.verdict
         assert a.kernel.generator == b.kernel.generator
         assert a.uv.u == b.uv.u and a.uv.v == b.uv.v

@@ -22,11 +22,9 @@ from keller.poly import (
     Polynomial,
     VarContext,
     compose,
-    gcd_and_content,
     identity_map,
     jacobian_det,
     poly_gcd,
-    poly_lcm,
 )
 from keller import poly
 from keller.groebner import _TAG_CTX
@@ -344,11 +342,6 @@ class TestGcd:
         with pytest.raises(ValueError):
             poly_gcd(z, z)
 
-    def test_gcd_and_content(self):
-        g, (ca, cb) = gcd_and_content(6 * X, 4 * X**2)
-        assert g == 2 * X
-        assert ca == 6 and cb == 4
-
     def test_coprime(self):
         g = poly_gcd(X + Y, X - Y)
         assert g.is_constant()
@@ -371,10 +364,6 @@ class TestGcd:
         f = u1 * u3 - u2
         g = poly_gcd(f * (u1 + u2), f * u3)
         assert g == f.normalized()
-
-    def test_lcm(self):
-        assert poly_lcm(X**2 - Y**2, X - Y) == X**2 - Y**2
-
 
 def prs_gcd(a, b):
     """poly_gcd with the heuristic switched off: the primitive PRS route."""
