@@ -5,12 +5,15 @@ Jacobian is not a nonzero constant are rejected there (the later criteria
 assume it). Stage 2 computes the kernel generator H and the degree r of x
 over the image field. Stage 3 produces the y = u/v decomposition, stage 4
 factors v and checks the localization units, and stage 5 draws the final
-verdict: r = 1 means the map is invertible and the inverse is computed
-and verified; r >= 2 on a map that passed stage 1 would be a loud
+verdict: r = 1 means the map is invertible, and the inverse is read off
+the lex tag basis that stage 3 already computed and then verified by
+composition; r >= 2 on a map that passed stage 1 would be a loud
 counterexample candidate and is treated as an artifact bug elsewhere.
 
 The automorphism conclusion is always derived twice, once from r and once
-from the units check; the two routes must agree or the run aborts.
+from the units check; the two routes must agree or the run aborts. The
+inverse is certified a third time, by both composition identities, however
+it was found.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .factor import (
     stays_irreducible,
 )
 from .funcfield import UVDecomposition, uv_decomposition
-from .groebner import KernelGenerator, RunStats, kernel_generator, subring_membership
+from .groebner import KernelGenerator, RunStats, _cached_tag_basis, kernel_generator
 from .poly import U12, XY, Endomorphism, JacobianInfo, Polynomial
 
 __all__ = [
@@ -110,18 +113,50 @@ def invert(
 ) -> Tuple[Polynomial, Polynomial]:
     """Inverse components (s, t) with s(p,q) = x and t(p,q) = y.
 
-    Intended for maps that reached r = 1 with a constant nonzero Jacobian;
-    under those preconditions both memberships must exist, so a failure
-    raises MembershipFailedError as an internal-error sentinel.
+    They are read off the reduced lex basis of the tag ideal
+    I = (u1 - p, u2 - q) with y > x > u1 > u2, which the shape basis has
+    already cached. f is an automorphism with inverse (s, t) exactly when
+    that basis is {c*x - S(u), c'*y - T(u)} with s = S/c and t = T/c:
+
+    - If x = s(p, q) and y = t(p, q), then x - s(u) and y - t(u) lie in I,
+      since u1 = p and u2 = q modulo I. Modulo the ideal J they generate,
+      u1 - p(x, y) = u1 - p(s(u), t(u)) = 0 and likewise u2 - q = 0, so
+      J = I. Their leading terms x and y are coprime, so they form a
+      Groebner basis, and it is reduced because neither tail contains x
+      or y. The reduced basis is unique, so it is this one.
+    - Conversely, setting u = (p, q) in x - s(u) and y - t(u), which lie
+      in I, gives x = s(p, q) and y = t(p, q).
+
+    Any other shape of basis means f is not an automorphism and raises
+    MembershipFailedError, the sentinel ``classify`` lets propagate at
+    r = 1. In the plane deg f^-1 <= deg f (Bass, Connell and Wright, Bull.
+    AMS 1982: deg F^-1 <= (deg F)^(n-1)), so an inverse of higher degree
+    raises InternalInconsistencyError. The basis is computed under the
+    budgets of ``stats`` and charged to it only when this call computed it.
     """
-    xv = Polynomial.variable(XY, "x")
-    yv = Polynomial.variable(XY, "y")
-    s = subring_membership(xv, f, stats=stats)
-    if s is None:
-        raise MembershipFailedError("x is not in the image subalgebra")
-    t = subring_membership(yv, f, stats=stats)
-    if t is None:
-        raise MembershipFailedError("y is not in the image subalgebra")
+    stats = stats if stats is not None else RunStats()
+    # tag exponents are (y, x, u1, u2): the lex max of an element is its lead
+    y_lead, x_lead = (1, 0, 0, 0), (0, 1, 0, 0)
+    read = {}
+    for b in _cached_tag_basis(f, stats):
+        lead = max(b.terms)
+        tail = {e[2:]: a for e, a in b.terms.items() if not (e[0] or e[1])}
+        if lead not in (y_lead, x_lead) or len(tail) != len(b.terms) - 1:
+            read.clear()
+            break
+        c = b.terms[lead]
+        read[lead] = Polynomial(U12, {e: -a / c for e, a in tail.items()})
+    if len(read) != 2:
+        raise MembershipFailedError(
+            "the lex tag basis is not {x - s(u), y - t(u)}, so x or y is not "
+            "in the image subalgebra"
+        )
+    s, t = read[x_lead], read[y_lead]
+    if max(s.total_degree(), t.total_degree()) > f.degree():
+        raise InternalInconsistencyError(
+            f"an inverse of degree above deg f = {f.degree()} contradicts "
+            "the plane inverse degree bound"
+        )
     return s, t
 
 
@@ -238,7 +273,8 @@ def _classify(
             s, t = invert(f, stats=stats)
             bit_i = verify_inverse(f, s, t)
         except MembershipFailedError:
-            # at r = 1 both memberships must exist
+            # at r = 1 the map is an automorphism, so the basis must be
+            # {x - s(u), y - t(u)}
             if bit_ii:
                 raise
             bit_i = False

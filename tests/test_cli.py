@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import keller.groebner as groebner_module
 from keller.cli import main
+from keller.tame import random_tame
 
 
 def run(capsys, argv):
@@ -34,6 +35,18 @@ class TestExitCodes:
         code, _, err = run(capsys, ["invert", "-p", "x^2", "-q", "y"])
         assert code == 1
         assert "refused" in err
+
+    def test_invert_refuses_over_the_spair_budget(self, capsys):
+        # the tag basis that invert reads takes 3 S-pairs on seed 50
+        f, _ = random_tame(50)
+        argv = ["invert", "-p", str(f.p), "-q", str(f.q)]
+        code, out, err = run(capsys, argv + ["--max-spairs", "2"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("refused: S-pair budget 2 exhausted")
+        code, out, _ = run(capsys, argv + ["--max-spairs", "3"])
+        assert code == 0
+        assert "verified = True" in out
 
     def test_degree_cap_refusal_is_one(self, capsys):
         code, out, _ = run(

@@ -1,12 +1,24 @@
 """End-to-end classification tests: verdicts, inverses, and the TFAE bits."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import keller.factor as factor_module
 import keller.groebner as groebner_module
 import keller.pipeline as pipeline_module
-from keller.errors import MembershipFailedError
-from keller.groebner import RunStats, clear_caches, kernel_generator
+from keller.errors import (
+    InternalInconsistencyError,
+    MembershipFailedError,
+    ResourceCapExceeded,
+)
+from keller.groebner import (
+    _TAG_CTX,
+    RunStats,
+    clear_caches,
+    kernel_generator,
+    subring_membership,
+)
 from keller.pipeline import TfaeReport, Verdict, classify, invert, verify_inverse
 from keller.poly import U12, XY, Endomorphism, Polynomial, compose, identity_map
 from keller.tame import Affine, ElementaryX, TameRecipe, generate_tame, random_tame
@@ -15,6 +27,12 @@ X = Polynomial.variable(XY, "x")
 Y = Polynomial.variable(XY, "y")
 U1 = Polynomial.variable(U12, "u1")
 U2 = Polynomial.variable(U12, "u2")
+TY, TX, T1, T2 = (Polynomial.variable(_TAG_CTX, n) for n in ("y", "x", "u1", "u2"))
+
+
+def patch_tag_basis(monkeypatch, basis):
+    """Make invert read ``basis`` in place of the map's lex tag basis."""
+    monkeypatch.setattr(pipeline_module, "_cached_tag_basis", lambda f, stats: basis)
 
 
 class TestClassifyVerdicts:
@@ -74,9 +92,10 @@ class TestClassifyVerdicts:
         assert stats.max_degree > 0
 
     def test_membership_failure_at_r_1_propagates(self, monkeypatch):
-        # r = 1 promises both memberships, so a failed one is an internal
-        # error and not a verdict
-        monkeypatch.setattr(pipeline_module, "subring_membership", lambda *a, **k: None)
+        # r = 1 promises both memberships, so a tag basis that is not
+        # {x - s(u), y - t(u)} is an internal error and not a verdict; the
+        # basis below is the one of (x^2, y)
+        patch_tag_basis(monkeypatch, (TY - T2, TX**2 - T1))
         with pytest.raises(MembershipFailedError):
             classify(Endomorphism(X, Y + X**2))
 
@@ -132,6 +151,53 @@ class TestInvert:
     def test_non_birational_fails_membership(self):
         with pytest.raises(MembershipFailedError):
             invert(Endomorphism(X**2, Y))
+
+    def test_leading_coefficients_are_divided_out(self, monkeypatch):
+        patch_tag_basis(monkeypatch, (TY - T2, 2 * TX - 3 * T1))
+        assert invert(Endomorphism(X, Y)) == (U1 * 3 / 2, U2)
+
+    def test_basis_tail_with_a_plane_variable_fails(self, monkeypatch):
+        patch_tag_basis(monkeypatch, (TY - TX * T2, TX - T1))
+        with pytest.raises(MembershipFailedError):
+            invert(Endomorphism(X, X * Y))
+
+    def test_inverse_above_the_map_degree_is_inconsistent(self, monkeypatch):
+        # in the plane deg f^-1 <= deg f, so s = u1^3 for a linear map is a bug
+        patch_tag_basis(monkeypatch, (TY - T2, TX - T1**3))
+        with pytest.raises(InternalInconsistencyError):
+            invert(Endomorphism(X, Y))
+
+    def test_budget_reaches_the_tag_basis(self):
+        # seed 50's tag basis takes 3 S-pairs
+        f, _ = random_tame(50)
+        clear_caches()
+        with pytest.raises(ResourceCapExceeded):
+            invert(f, stats=RunStats(spair_budget=2))
+        stats = RunStats()
+        invert(f, stats=stats)
+        assert stats.spairs == 3
+        invert(f, stats=stats)
+        assert stats.spairs == 3
+
+    @given(st.integers(0, 99))
+    def test_agrees_with_subring_membership(self, seed):
+        f, _ = random_tame(seed)
+        assert invert(f) == (subring_membership(X, f), subring_membership(Y, f))
+
+    @given(
+        st.sampled_from([Endomorphism(X**2, Y), Endomorphism(X, X * Y)]),
+        st.none() | st.integers(0, 99),
+    )
+    def test_fails_exactly_when_a_membership_fails(self, h, seed):
+        # h itself, or h o t for a tame t: neither is an automorphism
+        f = h if seed is None else compose(h, random_tame(seed)[0])
+        missing = None in (subring_membership(X, f), subring_membership(Y, f))
+        try:
+            invert(f)
+        except MembershipFailedError:
+            assert missing
+        else:
+            assert not missing
 
     @pytest.mark.parametrize("seed", [11, 17, 23])
     def test_tame_roundtrip(self, seed):
