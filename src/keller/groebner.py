@@ -482,13 +482,11 @@ def kernel_generator(
     """
     stats = stats if stats is not None else RunStats()
     xname, yname = f.context.names
-    yv = Polynomial.variable(_KERNEL_CTX, "y")
     u1 = Polynomial.variable(_KERNEL_CTX, "u1")
     u2 = Polynomial.variable(_KERNEL_CTX, "u2")
-    u3 = Polynomial.variable(_KERNEL_CTX, "u3")
-    images = {xname: u3, yname: yv}
-    g1 = u1 - f.p.substitute(images)
-    g2 = u2 - f.q.substitute(images)
+    rename = {xname: "u3", yname: "y"}
+    g1 = u1 - f.p.reindex(_KERNEL_CTX, rename)
+    g2 = u2 - f.q.reindex(_KERNEL_CTX, rename)
     basis = buchberger(Ideal(_KERNEL_CTX, [g1, g2]), block_order(1), stats=stats)
     elim = [b for b in basis if all(e[0] == 0 for e in b.terms)]
     if not elim:
@@ -531,13 +529,11 @@ def _tag_basis(f: Endomorphism, spair_budget: int, degree_budget: int):
     """
     stats = RunStats(spair_budget=spair_budget, degree_budget=degree_budget)
     xname, yname = f.context.names
-    xv = Polynomial.variable(_TAG_CTX, "x")
-    yv = Polynomial.variable(_TAG_CTX, "y")
     u1 = Polynomial.variable(_TAG_CTX, "u1")
     u2 = Polynomial.variable(_TAG_CTX, "u2")
-    images = {xname: xv, yname: yv}
-    g1 = u1 - f.p.substitute(images)
-    g2 = u2 - f.q.substitute(images)
+    rename = {xname: "x", yname: "y"}
+    g1 = u1 - f.p.reindex(_TAG_CTX, rename)
+    g2 = u2 - f.q.reindex(_TAG_CTX, rename)
     basis = buchberger(Ideal(_TAG_CTX, [g1, g2]), LEX, stats=stats)
     return tuple(basis), stats
 

@@ -14,15 +14,24 @@ Term order conventions used throughout the package:
   coefficient is positive.  Gcds, factors, and denominators are always
   returned in this form.
 
-Products and substitutions run on integers.  ``__mul__`` clears each
-operand to integer numerators over the lcm of its denominators, multiplies
-the two integer term maps and builds one ``Fraction(n, da * db)`` per
-output term.  ``substitute`` clears the polynomial and every image the
-same way and evaluates by Horner's rule in the variable of highest degree:
-the coefficient of each power of that variable is combined from cached
-integer powers of the other images, and every term is scaled so that the
-whole result sits over one integer denominator, applied once at the end.
-The term map stays exponent -> ``Fraction`` throughout.
+Products and substitutions run on integers and packed monomial keys.
+Each operand is cleared to integer numerators over the lcm of its
+denominators, and each exponent tuple is packed into one int, the exponent
+of variable i in a field of ``w`` bits.  ``w`` is chosen per call from a
+proven bound B on every exponent the call can produce, as the bit length of
+B: in ``__mul__`` B is the largest exponent of one operand plus the
+largest of the other, in ``substitute`` it is deg(self) times the largest
+total degree of the images.  No field then reaches 2**w, so adding two
+keys adds their exponents field by field, and the product loop is one int
+addition, one int product and one dict update per pair of terms.
+``__mul__`` unpacks once and builds one ``Fraction(n, da * db)`` per output
+term.  A one-term operand is an exponent shift instead, with no clearing
+and no packing.  ``substitute`` packs the images once and evaluates by
+Horner's rule in the variable of highest degree: the coefficient of each
+power of that variable is combined from cached packed powers of the other
+images, and every term is scaled so that the whole result sits over one
+integer denominator, applied once when the result is unpacked.  The term
+map stays exponent tuple -> ``Fraction`` outside these two methods.
 
 ``poly_gcd`` tries the heuristic gcd, checked by exact division, on
 two-variable inputs before the primitive pseudo-remainder sequence.
@@ -33,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, lshift
 from typing import Iterable, Mapping, Optional, Union
 
 from . import univariate as uni
@@ -109,21 +118,44 @@ def _cleared(terms: Mapping[Exponent, Fraction]):
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
-def _uncleared(context: VarContext, numerators: dict, den: int) -> "Polynomial":
-    """The polynomial numerators / den; zero numerators are dropped."""
+def _layout(arity: int, bound: int):
+    """(shifts, mask) of packed keys whose fields hold exponents up to bound:
+    the bit offset of each variable's field, first variable highest, and
+    the field mask."""
+    w = max(bound, 1).bit_length()
+    return tuple(w * i for i in range(arity - 1, -1, -1)), (1 << w) - 1
+
+
+def _packed(numerators: dict, shifts: tuple) -> dict:
+    """An integer term map with its exponent tuples packed into int keys."""
+    return {sum(map(lshift, e, shifts)): c for e, c in numerators.items()}
+
+
+def _unpacked(
+    context: VarContext, numerators: dict, den: int, shifts: tuple, mask: int
+) -> "Polynomial":
+    """The polynomial numerators / den over packed keys; zeros are dropped."""
     return Polynomial._raw(
-        context, {e: Fraction(n, den) for e, n in numerators.items() if n}
+        context,
+        {
+            tuple([k >> s & mask for s in shifts]): Fraction(n, den)
+            for k, n in numerators.items()
+            if n
+        },
     )
 
 
 def _mul_ints(a: dict, b: dict) -> dict:
-    """Product of two integer term maps; cancelled terms stay as zeros."""
+    """Product of two packed integer term maps; cancelled terms stay as zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    b = list(b.items())
     out: dict = {}
     get = out.get
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = get(e, 0) + c1 * c2
+    for k1, c1 in a.items():
+        for k2, c2 in b:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
     return out
 
 
@@ -274,9 +306,23 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_context(other)
-        a, da = _cleared(self.terms)
-        b, db = _cleared(other.terms)
-        return _uncleared(self.context, _mul_ints(a, b), da * db)
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) <= 1:
+            if not b:
+                return Polynomial.zero(self.context)
+            ((e, c),) = b.items()
+            return Polynomial._raw(
+                self.context, {tuple(map(add, e1, e)): v * c for e1, v in a.items()}
+            )
+        a, da = _cleared(a)
+        b, db = _cleared(b)
+        shifts, mask = _layout(
+            self.context.arity, max(map(max, a)) + max(map(max, b))
+        )
+        product = _mul_ints(_packed(a, shifts), _packed(b, shifts))
+        return _unpacked(self.context, product, da * db, shifts, mask)
 
     __rmul__ = __mul__
 
@@ -355,7 +401,13 @@ class Polynomial:
         nums, dens = zip(*(_cleared(im.terms) for im in imgs))
         degs = [max(e[j] for e in num) for j in range(len(imgs))]
         h = degs.index(max(degs))
-        unit = {(0,) * target.arity: 1}
+        # no exponent of a power, product or Horner step exceeds this bound
+        shifts, mask = _layout(
+            target.arity,
+            self.total_degree() * max(im.total_degree() for im in imgs),
+        )
+        nums = [_packed(n, shifts) for n in nums]
+        unit = {0: 1}
         powers = [[unit] for _ in imgs]
 
         def power(j: int, e: int) -> dict:
@@ -387,7 +439,7 @@ class Polynomial:
                 result[m] = result.get(m, 0) + v
         for d, deg in zip(dens, degs):
             den *= d**deg
-        return _uncleared(target, result, den)
+        return _unpacked(target, result, den, shifts, mask)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a rational point."""

@@ -171,13 +171,6 @@ def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:
     return primitive(a)
 
 
-def eval_at(f: IntPoly, x: int) -> int:
-    out = 0
-    for c in reversed(f):
-        out = out * x + c
-    return out
-
-
 def squarefree_parts(f: IntPoly) -> List[Tuple[IntPoly, int]]:
     """Yun's algorithm on a primitive polynomial of degree >= 1.
 

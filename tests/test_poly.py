@@ -250,6 +250,110 @@ class TestIntegerCore:
         assert const.substitute({"x": u1, "y": u2}) == Polynomial.constant(U12, c)
 
 
+# contexts of 2, 3 and 4 variables, the lex tag basis context among them
+CONTEXTS = [XY, U123, _TAG_CTX]
+CONTEXT_IDS = ["xy", "u123", "tag"]
+
+# (deg p, deg of the images) whose product lies on either side of a power
+# of two: 15, 16, 63, 64, 32 and 31
+SUBSTITUTE_BOUNDARIES = [(1, 15), (3, 5), (1, 16), (4, 4), (7, 9), (8, 8), (2, 16), (1, 31)]
+
+
+def boundary_sums():
+    """Exponent sums just below and at a power of two: 2**k - 1 and 2**k."""
+    return st.integers(1, 8).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k]))
+
+
+def exponents_summing_to(arity, total):
+    """Exponent tuples of the given length with the given sum."""
+    cuts = st.lists(st.integers(0, total), min_size=arity - 1, max_size=arity - 1)
+    return cuts.map(
+        lambda c: tuple(b - a for a, b in zip([0] + sorted(c), sorted(c) + [total]))
+    )
+
+
+class TestPackedKeys:
+    """Packed monomial keys at the edges of their field width."""
+
+    def test_field_width_is_the_bit_length_of_the_bound(self):
+        for k in range(1, 10):
+            assert poly._layout(2, 2**k - 1) == ((k, 0), 2**k - 1)
+            assert poly._layout(2, 2**k) == ((k + 1, 0), 2 ** (k + 1) - 1)
+        # constant and zero images give a bound of 0 or below
+        assert poly._layout(1, 0) == ((0,), 1)
+        assert poly._layout(4, -3) == ((3, 2, 1, 0), 1)
+
+    def test_known_boundary_products(self):
+        x, y, one = X, Y, Polynomial.constant(XY, 1)
+        assert x**63 * x == P(XY, {(64, 0): 1})
+        assert x**64 * x**64 == P(XY, {(128, 0): 1})
+        for a, b in [
+            (x**63 + y, x + one),
+            (x**64 + y**64, x**64 + y),
+            (x**127 * y**127 + one, x * y + one),
+        ]:
+            assert a * b == reference_mul(a, b) == b * a
+
+    @pytest.mark.parametrize("ctx", CONTEXTS, ids=CONTEXT_IDS)
+    @given(data=st.data())
+    def test_mul_fills_every_field_to_the_bound(self, ctx, data):
+        total = data.draw(boundary_sums())
+        ea = data.draw(st.integers(0, total))
+        ca, cb = data.draw(COEFFS.filter(bool)), data.draw(COEFFS.filter(bool))
+        low_a = data.draw(polys(ctx, max_degree=2, max_terms=3)).terms
+        low_b = data.draw(polys(ctx, max_degree=2, max_terms=3)).terms
+        a = Polynomial(ctx, {**low_a, (ea,) * ctx.arity: ca})
+        b = Polynomial(ctx, {**low_b, (total - ea,) * ctx.arity: cb})
+        assert a * b == reference_mul(a, b) == b * a
+
+    @pytest.mark.parametrize("ctx", CONTEXTS, ids=CONTEXT_IDS)
+    @given(data=st.data())
+    def test_one_term_and_zero_operands(self, ctx, data):
+        a = data.draw(polys(ctx, max_degree=6))
+        m = data.draw(polys(ctx, max_degree=70, max_terms=1))
+        want = reference_mul(a, m)
+        assert a * m == want and m * a == want
+        assert m * m == reference_mul(m, m)
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [(XY, XY), (U12, U123), (XY, _TAG_CTX), (U123, XY)],
+        ids=["xy-xy", "u12-u123", "xy-tag", "u123-xy"],
+    )
+    @given(data=st.data())
+    def test_substitute_reaches_the_bound(self, source, target, data):
+        t, d = data.draw(st.sampled_from(SUBSTITUTE_BOUNDARIES))
+        top = data.draw(exponents_summing_to(source.arity, t))
+        low = data.draw(polys(source, max_degree=1, max_terms=3)).terms
+        low = {e: c for e, c in low.items() if sum(e) < t}
+        p = Polynomial(source, {**low, top: data.draw(COEFFS.filter(bool))})
+        # every image leads with the same variable to the power d, so the
+        # result holds that variable to the power t * d, the bound itself
+        j = data.draw(st.integers(0, target.arity - 1))
+        lead = tuple(d if i == j else 0 for i in range(target.arity))
+        imgs = {}
+        for n in source.names:
+            img_low = data.draw(polys(target, max_degree=1, max_terms=2)).terms
+            c = data.draw(COEFFS.filter(bool))
+            imgs[n] = Polynomial(target, {**img_low, lead: c})
+        got = p.substitute(imgs)
+        assert got == reference_substitute(p, imgs)
+        assert max(e[j] for e in got.terms) == t * d
+
+    @given(
+        st.one_of(polys(XY), polys(XY, max_degree=0, max_terms=1)),
+        polys(U12, max_degree=0, max_terms=1),
+        polys(U12, max_degree=3, max_terms=3),
+        st.booleans(),
+    )
+    def test_substitute_constant_or_zero_images(self, p, flat, other, both):
+        # total_degree() of flat is 0 or -1, so the bound can be 0 or negative
+        imgs = {"x": flat, "y": flat if both else other}
+        assert p.substitute(imgs) == reference_substitute(p, imgs)
+        imgs = {"x": other, "y": flat}
+        assert p.substitute(imgs) == reference_substitute(p, imgs)
+
+
 class TestJacobian:
     def test_shear_is_unit(self):
         info = jacobian_det(X, Y + X**2)
