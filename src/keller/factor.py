@@ -23,7 +23,6 @@ for factorial closedness of the image subalgebra.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +46,7 @@ from .poly import (
     _coeffs_in,
     _eval_others,
     _from_coeffs,
+    _from_list,
     _split_var_content,
     poly_gcd,
 )
@@ -169,16 +169,6 @@ def _divmod_monic(
     return _from_coeffs(f.context, xi, q), _from_coeffs(f.context, xi, rem)
 
 
-def _from_list(context: VarContext, xi: int, f: Sequence) -> Polynomial:
-    """The polynomial sum f[i] * x**i for a dense list of ints or Fractions."""
-    base = [0] * context.arity
-    terms = {}
-    for i, c in enumerate(f):
-        base[xi] = i
-        terms[tuple(base)] = c
-    return Polynomial(context, terms)
-
-
 def _lift_pair(
     F: Polynomial,
     g: Polynomial,
@@ -230,15 +220,10 @@ def _lift_tree(
 
 def _factor_univariate_image(f: Polynomial, name: str) -> List[Polynomial]:
     """Irreducible factors of a polynomial using only one variable."""
-    d = f.degree_in(name)
     ctx = f.context
     vi = ctx.index(name)
-    coeffs = [Fraction(0)] * (d + 1)
-    for exps, c in f.terms.items():
-        coeffs[exps[vi]] = c
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    _, parts = uni.factor(ints)
+    # no other variable occurs, so the image at 1 is the dense list
+    _, parts = uni.factor(_eval_others(_cleared(f.terms)[0], vi, 1))
     out = []
     for g, mult in parts:
         out.extend([_from_list(ctx, vi, g).normalized()] * mult)

@@ -33,8 +33,14 @@ images, and every term is scaled so that the whole result sits over one
 integer denominator, applied once when the result is unpacked.  The term
 map stays exponent tuple -> ``Fraction`` outside these two methods.
 
-``poly_gcd`` tries the heuristic gcd, checked by exact division, on
-two-variable inputs before the primitive pseudo-remainder sequence.
+``poly_gcd`` takes a gcd of one-variable inputs as ``univariate.gcd_z``
+of their dense integer coefficient lists; this covers the contents in the
+main variable that every bivariate gcd splits off first.  On two-variable
+inputs it tries the heuristic gcd, checked by exact division, before the
+primitive pseudo-remainder sequence, which also handles every other case.
+``exact_div`` runs on integer numerators and packed keys too, with one
+spare bit per field that reveals, without unpacking, when a leading
+monomial does not divide a remaining term.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, lshift
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import univariate as uni
 from .errors import (
@@ -244,13 +250,6 @@ class Polynomial:
                 if e:
                     used[i] = True
         return tuple(n for n, u in zip(self.context.names, used) if u)
-
-    def leading_lex(self):
-        """(exponent, coefficient) of the lex-greatest term."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -491,7 +490,20 @@ class Polynomial:
         return self.content_and_primitive()[1]
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact division; raises ExactDivisionError when it does not divide."""
+        """Exact division; raises ExactDivisionError when it does not divide.
+
+        Both operands are cleared to integers, self == A / da and divisor ==
+        c * M / dm with M primitive, and A is divided by M on packed keys,
+        popping the lex-largest remaining term at each step.  If M divides A
+        over Q, the quotient Q lies in Z[x] by Gauss's lemma: write
+        Q = r * Q0 with r rational and Q0 primitive; Q0 * M is primitive, so
+        r is the content of A up to sign, an integer.  Long division emits
+        the terms of Q one by one, so a step whose coefficient is not a
+        multiple of the leading coefficient of M proves that M does not
+        divide A.  So does a quotient term above deg A - deg M in some
+        variable, the degrees of an exact quotient.  The result is Q times
+        the one scalar dm / (da * c).
+        """
         if not isinstance(divisor, Polynomial):
             raise TypeError("exact_div expects a Polynomial divisor")
         self._check_context(divisor)
@@ -499,29 +511,57 @@ class Polynomial:
             raise ZeroDivisionError("exact division by the zero polynomial")
         if self.is_zero():
             return self
-        lead_e, lead_c = divisor.leading_lex()
-        rest = dict(self.terms)
+        a, da = _cleared(self.terms)
+        m, dm = _cleared(divisor.terms)
+        cm = math.gcd(*m.values())
+        # an exact quotient has degree deg A - deg M in each variable, and
+        # with its terms below that every key the remainder reaches stays
+        # within the degrees of A
+        tops = [max(col) for col in zip(*a)]
+        room = [t - max(col) for t, col in zip(tops, zip(*m))]
+        if min(room) < 0:
+            raise ExactDivisionError(f"{divisor} does not divide exactly")
+        # fields sized for twice the largest exponent have a spare top bit,
+        # set in every field of guard: with it added, a field difference
+        # never borrows from the next field, and it clears the bit exactly
+        # when it is negative
+        shifts, mask = _layout(self.context.arity, 2 * max(tops))
+        guard = sum(map(lshift, [(mask + 1) >> 1] * len(shifts), shifts))
+        room = sum(map(lshift, room, shifts)) + guard
+        rest = _packed(a, shifts)
+        tail = {k: c // cm for k, c in _packed(m, shifts).items()}
+        lead = max(tail)
+        lc = tail.pop(lead)
+        tail = list(tail.items())
         out = {}
+        get = rest.get
         while rest:
-            e = max(rest)
-            c = rest.pop(e)
-            q = tuple(a - b for a, b in zip(e, lead_e))
-            if any(x < 0 for x in q):
-                raise ExactDivisionError(f"{divisor} does not divide exactly")
-            qc = c / lead_c
+            k = max(rest)
+            c = rest.pop(k)
+            q = k + guard - lead
+            if q & guard != guard:
+                break
+            q -= guard
+            qc, r = divmod(c, lc)
+            if r or room - q & guard != guard:
+                break
             out[q] = qc
-            for de, dc in divisor.terms.items():
-                if de == lead_e:
-                    continue
-                k = tuple(a + b for a, b in zip(q, de))
-                v = rest.get(k, _ZERO) - qc * dc
+            for e, d in tail:
+                k = q + e
+                v = get(k, 0) - qc * d
                 if v:
                     rest[k] = v
                 else:
-                    rest.pop(k, None)
-        return Polynomial._raw(self.context, out)
+                    del rest[k]
+        else:
+            if dm != 1:
+                out = {k: qc * dm for k, qc in out.items()}
+            return _unpacked(self.context, out, da * cm, shifts, mask)
+        raise ExactDivisionError(f"{divisor} does not divide exactly")
 
     def divides(self, other: "Polynomial") -> bool:
+        if self.is_zero():
+            return other.is_zero()
         try:
             other.exact_div(self)
             return True
@@ -659,6 +699,16 @@ def _from_coeffs(context: VarContext, i: int, coeffs: Mapping[int, Polynomial]) 
     return Polynomial._raw(context, {e: c for e, c in out.items() if c})
 
 
+def _from_list(context: VarContext, i: int, f: Sequence) -> Polynomial:
+    """The polynomial sum f[k] * x_i**k for a dense list of ints or Fractions."""
+    base = [0] * context.arity
+    terms = {}
+    for k, c in enumerate(f):
+        base[i] = k
+        terms[tuple(base)] = c
+    return Polynomial(context, terms)
+
+
 def _int_content(p: Polynomial) -> int:
     g = 0
     for c in p.terms.values():
@@ -741,6 +791,11 @@ def _gcd_prim(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_constant() or b.is_constant():
         return Polynomial.constant(a.context, 1)
     i = _main_var(a, b)
+    if all(e[i] == sum(e) for p in (a, b) for e in p.terms):
+        # one variable: every other exponent is 0, so the image at 1 is the
+        # dense coefficient list, and gcd_z is primitive with a positive lead
+        h = uni.gcd_z(_eval_others(a.terms, i, 1), _eval_others(b.terms, i, 1))
+        return _from_list(a.context, i, h)
     ca, pa = _split_var_content(a, i)
     cb, pb = _split_var_content(b, i)
     gamma = _gcd_int(ca, cb)
@@ -835,8 +890,12 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     integer inputs keep their shared integer content.
 
     The gcd is taken in the main variable x (the last context variable
-    used), after the content in x, a gcd in the other variables, is split
-    off. When exactly one other variable y remains, the heuristic gcd comes
+    used). When no other variable occurs, the gcd of the two primitive
+    parts is ``univariate.gcd_z`` of their dense integer coefficient lists.
+    Otherwise the content in x, a gcd in the other variables, is split off
+    first; with two variables that content is a gcd of one-variable
+    polynomials, which takes the dense route. When exactly one other
+    variable y remains, the heuristic gcd comes
     first (Char, Geddes and Gonnet, 1989): set y = xi, an integer above
     twice the smaller coefficient height of the two inputs, and require
     that deg_x of neither input drops. Take the gcd h of the two images in

@@ -1,5 +1,6 @@
 """Tests for the exact polynomial core."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -29,7 +30,16 @@ from keller.poly import (
 from keller import poly
 from keller.groebner import _TAG_CTX
 from keller.parsing import parse_poly
-from oracles import reference_mul, reference_substitute
+from oracles import (
+    _b_eval_y,
+    _b_exact_div,
+    _b_from_terms,
+    _b_row,
+    _u_gcd,
+    _u_mul,
+    reference_mul,
+    reference_substitute,
+)
 
 
 def P(ctx, text_terms):
@@ -43,6 +53,7 @@ def var(ctx, name):
 
 X = var(XY, "x")
 Y = var(XY, "y")
+ONE = Polynomial.constant(XY, 1)
 
 
 def random_poly(rng, ctx, max_degree=3, max_terms=5):
@@ -62,11 +73,15 @@ def random_poly(rng, ctx, max_degree=3, max_terms=5):
 COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
 
-def polys(ctx, max_degree=3, max_terms=5):
+# integer coefficients, whose content poly_gcd keeps and exact_div clears
+INTEGERS = st.integers(-6, 6).map(Fraction)
+
+
+def polys(ctx, max_degree=3, max_terms=5, coeffs=COEFFS):
     """Polynomials in ctx with every exponent at most max_degree; the empty
     term map (zero) and exponent-free terms (constants) are included."""
     exps = st.tuples(*[st.integers(0, max_degree)] * ctx.arity)
-    return st.dictionaries(exps, COEFFS, max_size=max_terms).map(
+    return st.dictionaries(exps, coeffs, max_size=max_terms).map(
         lambda terms: Polynomial(ctx, terms)
     )
 
@@ -415,6 +430,20 @@ class TestNormalization:
             assert n.normalized() == n
 
 
+def content_gcd(a, b):
+    """The gcd of every numerator of a and b over the lcm of every
+    denominator: the scalar that poly_gcd keeps."""
+    cs = [*a.terms.values(), *b.terms.values()]
+    return Fraction(
+        math.gcd(*(c.numerator for c in cs)), math.lcm(*(c.denominator for c in cs))
+    )
+
+
+def rows(p, i=0):
+    """p in the oracle's layout, rows by the degree in variable i of two."""
+    return _b_from_terms({(e[i], e[1 - i]): c for e, c in p.terms.items()})
+
+
 class TestExactDivision:
     def test_known_quotient(self):
         assert (X**2 - Y**2).exact_div(X - Y) == X + Y
@@ -427,6 +456,59 @@ class TestExactDivision:
     def test_random_products_divide(self, a, b):
         assume(not b.is_zero())
         assert (a * b).exact_div(b) == a
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # the divisor's degree in some variable exceeds the dividend's
+            (X, Y**2),
+            (X**2 * Y, X * Y**2),
+            # the lead x*y does not divide y^2: the x field borrows
+            (X * Y + Y**2, X * Y + ONE),
+            # the quotient term y^2 exceeds deg_y A - deg_y M = 0
+            (X**2 + Y**2, X + Y**2),
+            # 1 is not a multiple of lc(M) = 2: a non-integral step
+            (X + ONE, 2 * X + ONE),
+            # 3 is not a multiple of 2; dropping the remainder 1 of that
+            # step would leave x*(2x + 1) and the quotient x
+            (3 * X**2 + X, 2 * X + ONE),
+        ],
+        ids=["degree", "degree_both", "borrow", "room", "non_integral", "non_integral_lead"],
+    )
+    def test_named_nondivisors(self, a, b):
+        with pytest.raises(ExactDivisionError):
+            a.exact_div(b)
+        assert not b.divides(a)
+
+    def test_named_quotients(self):
+        half = Polynomial.constant(XY, Fraction(1, 2))
+        assert (X + half).exact_div(2 * X + ONE) == half
+        # 64 fills the y field of the dividend to its bound
+        assert (X**63 * Y**64).exact_div(X**31 * Y) == X**32 * Y**63
+
+    def test_zero_divisor(self):
+        zero = Polynomial.zero(XY)
+        assert not zero.divides(X)
+        assert zero.divides(zero)
+        assert X.divides(zero)
+
+    @given(
+        polys(XY),
+        st.one_of(polys(XY), polys(XY, coeffs=INTEGERS)),
+        polys(XY, max_degree=2, max_terms=2),
+        st.sampled_from([1, 2, 6, -1, -3]),
+    )
+    def test_matches_oracle(self, q, b, r, k):
+        # k gives divisors with integer content above 1 and negative leads
+        assume(not b.is_zero())
+        b = b * k
+        a = reference_mul(q, b) + r
+        want = _b_exact_div(rows(a), rows(b))
+        if want is None:
+            with pytest.raises(ExactDivisionError):
+                a.exact_div(b)
+        else:
+            assert rows(a.exact_div(b)) == want
 
 
 class TestGcd:
@@ -468,6 +550,28 @@ class TestGcd:
         f = u1 * u3 - u2
         g = poly_gcd(f * (u1 + u2), f * u3)
         assert g == f.normalized()
+
+    @pytest.mark.parametrize(
+        "ctx, i", [(XY, 0), (XY, 1), (U123, 1)], ids=["xy-x", "xy-y", "u123-u2"]
+    )
+    @given(data=st.data())
+    def test_one_variable_matches_oracle(self, ctx, i, data):
+        coeffs = data.draw(st.sampled_from([COEFFS, INTEGERS]), "coefficients")
+        f, a1, b1 = (data.draw(st.lists(coeffs, max_size=4), n) for n in ("f", "a1", "b1"))
+        k = data.draw(st.integers(1, 6), "shared integer factor")
+        a, b = (_u_mul(_u_mul(f, c), [Fraction(k)]) for c in (a1, b1))
+
+        def in_ctx(dense):
+            unit = [int(j == i) for j in range(ctx.arity)]
+            return Polynomial(ctx, {tuple(d * u for u in unit): c for d, c in enumerate(dense)})
+
+        pa, pb = in_ctx(a), in_ctx(b)
+        assume(pa or pb)
+        want = in_ctx(_u_gcd(a, b)).normalized()
+        if pa and pb:
+            want = want * content_gcd(pa, pb)
+        assert poly_gcd(pa, pb) == want
+
 
 def prs_gcd(a, b):
     """poly_gcd with the heuristic switched off: the primitive PRS route."""
@@ -514,13 +618,43 @@ def planted_gcd_pairs(draw):
     return a, b, g * shared
 
 
+def coprime(F, G):
+    """Oracle test that F, G in Q[y][x] share no nonconstant factor.
+
+    Their contents in x must be coprime in Q[y], and at some integer y = c
+    where neither x-leading coefficient vanishes their images must be
+    coprime in Q[x]: a common factor of positive x-degree keeps that degree
+    at such a point. For coprime inputs only the roots of the resultant and
+    of the two leading coefficients fail, fewer than the 81 points tried.
+    """
+
+    def x_content(H):
+        c = []
+        for k in range(len(H)):
+            c = _u_gcd(c, _b_row(H, k))
+        return c
+
+    if len(_u_gcd(x_content(F), x_content(G))) > 1:
+        return False
+    for c in range(-40, 41):
+        f, g = _b_eval_y(F, c), _b_eval_y(G, c)
+        if len(f) == len(F) and len(g) == len(G) and len(_u_gcd(f, g)) == 1:
+            return True
+    return False
+
+
 class TestHeuristicGcd:
     @given(planted_gcd_pairs())
-    def test_matches_prs_route(self, pair):
+    def test_matches_oracle(self, pair):
         a, b, planted = pair
         g = poly_gcd(a, b)
-        assert g == prs_gcd(a, b)
-        assert planted.normalized().divides(g)
+        # rows by x, the second variable of (y, x)
+        A, B, G = rows(a, 1), rows(b, 1), rows(g, 1)
+        ca, cb = _b_exact_div(A, G), _b_exact_div(B, G)
+        assert ca is not None and cb is not None
+        assert coprime(ca, cb)
+        assert _b_exact_div(G, rows(planted, 1)) is not None
+        assert g == content_gcd(a, b) * g.normalized()
 
     @pytest.mark.parametrize(
         "a, b, gcd, heuristic_answers",
