@@ -26,12 +26,18 @@ keys adds their exponents field by field, and the product loop is one int
 addition, one int product and one dict update per pair of terms.
 ``__mul__`` unpacks once and builds one ``Fraction(n, da * db)`` per output
 term.  A one-term operand is an exponent shift instead, with no clearing
-and no packing.  ``substitute`` packs the images once and evaluates by
-Horner's rule in the variable of highest degree: the coefficient of each
-power of that variable is combined from cached packed powers of the other
-images, and every term is scaled so that the whole result sits over one
-integer denominator, applied once when the result is unpacked.  The term
-map stays exponent tuple -> ``Fraction`` outside these two methods.
+and no packing.
+
+``substitute`` runs the same product loop on row maps, whose key packs
+every target variable but the last and whose value is one big integer:
+that key's coefficient, a polynomial in the last variable, at 2**W
+(Kronecker substitution), so one CPython product multiplies a whole row.
+The images, their cached powers and the Horner accumulator stay row maps,
+and W comes from a height bound proven before any product (see
+``substitute``), so the result is decoded once.  ``__mul__`` stays on
+monomial keys: its operands are small and sparse, where rows cost more
+than they save.  The term map stays exponent tuple -> ``Fraction`` outside
+these two methods.
 
 ``poly_gcd`` takes a gcd of one-variable inputs as ``univariate.gcd_z``
 of their dense integer coefficient lists; this covers the contents in the
@@ -40,7 +46,8 @@ inputs it tries the heuristic gcd, checked by exact division, before the
 primitive pseudo-remainder sequence, which also handles every other case.
 ``exact_div`` runs on integer numerators and packed keys too, with one
 spare bit per field that reveals, without unpacking, when a leading
-monomial does not divide a remaining term.
+monomial does not divide a remaining term; a one-term divisor is an
+exponent shift, as in ``__mul__``.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, lshift
+from operator import add, lshift, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import univariate as uni
@@ -151,8 +158,38 @@ def _unpacked(
     )
 
 
+def _rows(numerators: dict, shifts: tuple, width: int) -> dict:
+    """A row map: the packed key of every variable but the last -> the sum
+    of c * 2**(width * e_last) over the terms with that key."""
+    out: dict = {}
+    for e, c in numerators.items():
+        k = sum(map(lshift, e, shifts))
+        out[k] = out.get(k, 0) + (c << width * e[-1])
+    return out
+
+
+def _decoded(
+    context: VarContext, rows: dict, den: int, shifts: tuple, mask: int, width: int
+) -> "Polynomial":
+    """The polynomial rows / den, each row read off as signed base-2**width
+    digits, which must all lie below 2**(width-1) in absolute value."""
+    top, half = (1 << width) - 1, 1 << width - 1
+    terms = {}
+    for k, v in rows.items():
+        head = tuple([k >> s & mask for s in shifts])
+        e = 0
+        while v:
+            d = ((v & top) ^ half) - half
+            if d:
+                terms[head + (e,)] = Fraction(d, den)
+            v = (v - d) >> width
+            e += 1
+    return Polynomial._raw(context, terms)
+
+
 def _mul_ints(a: dict, b: dict) -> dict:
-    """Product of two packed integer term maps; cancelled terms stay as zeros."""
+    """Product of two packed integer term maps or row maps; cancelled terms
+    stay as zeros."""
     if len(a) < len(b):
         a, b = b, a
     b = list(b.items())
@@ -380,6 +417,22 @@ class Polynomial:
         """Evaluate at polynomial images, one per context variable.
 
         All images must share a single target context; the result lives there.
+
+        With self == num / den and image j == nums[j] / dens[j] cleared to
+        integers, scaling each term c of num to c' = c * prod_j dens[j] **
+        (degs[j] - e[j]) puts the whole result over the one denominator
+        den * prod_j dens[j] ** degs[j], with integer numerator N = sum c' *
+        prod_j nums[j] ** e[j].  Every value below is a row map: packed key
+        of the target variables but the last -> the integer image of its
+        coefficient, a polynomial in the last variable y, at y = 2**W.
+        y -> 2**W is a ring homomorphism Z[...][y] -> Z[...], so powers,
+        products and Horner steps of row maps are row maps of the same
+        polynomials, and nothing is decoded until N is done.  N is read off
+        by signed base-2**W digits, which is exact when every coefficient
+        of N lies below 2**(W-1) in absolute value.  The l1 norm of a product
+        is at most the product of the norms, so every coefficient of N is
+        at most H = sum |c'| * prod_j ||nums[j]||_1 ** e[j], and
+        W = bit_length(H) + 1 suffices.
         """
         missing = [n for n in self.context.names if n not in images]
         if missing:
@@ -393,19 +446,26 @@ class Polynomial:
                 )
         if not self.terms:
             return Polynomial.zero(target)
-        # self == num / den and image j == nums[j] / dens[j], all integer.
-        # Scaling every term by prod_j dens[j] ** (degs[j] - e[j]) puts the
-        # whole image over the one denominator den * prod_j dens[j] ** degs[j].
         num, den = _cleared(self.terms)
         nums, dens = zip(*(_cleared(im.terms) for im in imgs))
         degs = [max(e[j] for e in num) for j in range(len(imgs))]
         h = degs.index(max(degs))
+        norms = [sum(map(abs, n.values())) for n in nums]
+        height = 0
+        for exps in num:
+            c = num[exps]
+            for j, e in enumerate(exps):
+                if dens[j] != 1:
+                    c *= dens[j] ** (degs[j] - e)
+            num[exps] = c
+            height += abs(c) * math.prod(map(pow, norms, exps))
+        width = height.bit_length() + 1
         # no exponent of a power, product or Horner step exceeds this bound
         shifts, mask = _layout(
-            target.arity,
+            target.arity - 1,
             self.total_degree() * max(im.total_degree() for im in imgs),
         )
-        nums = [_packed(n, shifts) for n in nums]
+        nums = [_rows(n, shifts, width) for n in nums]
         unit = {0: 1}
         powers = [[unit] for _ in imgs]
 
@@ -420,8 +480,6 @@ class Polynomial:
         for exps, c in num.items():
             mono = None
             for j, e in enumerate(exps):
-                if dens[j] != 1:
-                    c *= dens[j] ** (degs[j] - e)
                 if e and j != h:
                     mono = power(j, e) if mono is None else _mul_ints(mono, power(j, e))
             if mono is None:
@@ -438,7 +496,7 @@ class Polynomial:
                 result[m] = result.get(m, 0) + v
         for d, deg in zip(dens, degs):
             den *= d**deg
-        return _unpacked(target, result, den, shifts, mask)
+        return _decoded(target, result, den, shifts, mask, width)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a rational point."""
@@ -502,7 +560,9 @@ class Polynomial:
         multiple of the leading coefficient of M proves that M does not
         divide A.  So does a quotient term above deg A - deg M in some
         variable, the degrees of an exact quotient.  The result is Q times
-        the one scalar dm / (da * c).
+        the one scalar dm / (da * c).  A one-term divisor is an exponent
+        shift instead, which divides exactly when every term of self is a
+        multiple of its monomial.
         """
         if not isinstance(divisor, Polynomial):
             raise TypeError("exact_div expects a Polynomial divisor")
@@ -511,6 +571,15 @@ class Polynomial:
             raise ZeroDivisionError("exact division by the zero polynomial")
         if self.is_zero():
             return self
+        if len(divisor.terms) == 1:
+            ((ed, cd),) = divisor.terms.items()
+            out = {}
+            for e, c in self.terms.items():
+                q = tuple(map(sub, e, ed))
+                if min(q) < 0:
+                    raise ExactDivisionError(f"{divisor} does not divide exactly")
+                out[q] = c / cd
+            return Polynomial._raw(self.context, out)
         a, da = _cleared(self.terms)
         m, dm = _cleared(divisor.terms)
         cm = math.gcd(*m.values())

@@ -317,6 +317,16 @@ class TestClassifyProperties:
             f, _ = random_tame(seed)
             assert classify(f).verdict is not Verdict.COUNTEREXAMPLE_CANDIDATE
 
+    def test_degree_24_map(self):
+        # both compositions of verify_inverse reach degree (deg f)**2
+        f, recipe = random_tame(0, max_steps=8, degree_cap=36)
+        assert f.degree() == 24
+        report = classify(f)
+        assert report.verdict is Verdict.AUTOMORPHISM
+        g = generate_tame(recipe.inverse())
+        to_u = {"x": "u1", "y": "u2"}
+        assert report.inverse == (g.p.reindex(U12, to_u), g.q.reindex(U12, to_u))
+
     def test_inverse_of_inverse_is_original(self):
         f, _ = random_tame(31)
         s, t = invert(f)

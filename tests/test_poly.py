@@ -369,6 +369,87 @@ class TestPackedKeys:
         assert p.substitute(imgs) == reference_substitute(p, imgs)
 
 
+Z = VarContext(("z",))
+
+# numerators at the edge of a bit length, 2**k - 1 and 2**k, of either sign
+EDGES = st.builds(
+    lambda k, below, sign: sign * (2**k - below),
+    st.integers(1, 40),
+    st.booleans(),
+    st.sampled_from([1, -1]),
+)
+
+
+def over(ctx, den, max_degree=2, max_terms=4):
+    """Polynomials in ctx whose coefficients are integers over den."""
+    return polys(ctx, max_degree, max_terms, st.integers(-9, 9).map(lambda n: Fraction(n, den)))
+
+
+def negative_tops(p):
+    """p with the top coefficient in the last variable of every row negative."""
+    tops = {}
+    for e in p.terms:
+        tops[e[:-1]] = max(tops.get(e[:-1], 0), e[-1])
+    return Polynomial(
+        p.context,
+        {e: -abs(c) if e[-1] == tops[e[:-1]] else c for e, c in p.terms.items()},
+    )
+
+
+class TestRowSlots:
+    """substitute at the edge of its row slots: every coefficient of the
+    cleared result must stay below 2**(W-1) in absolute value."""
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [(XY, Z), (XY, XY), (U123, _TAG_CTX)],
+        ids=["xy-z", "xy-xy", "u123-tag"],
+    )
+    @given(data=st.data())
+    def test_one_term_result_reaches_the_height(self, source, target, data):
+        # a monomial at monomial images gives one term whose cleared
+        # coefficient is exactly +H or -H, the height bound itself
+        def monomial(ctx, max_degree):
+            e = data.draw(st.tuples(*[st.integers(0, max_degree)] * ctx.arity))
+            return Polynomial(ctx, {e: Fraction(data.draw(EDGES), data.draw(st.integers(1, 6)))})
+
+        p = monomial(source, 4)
+        imgs = {n: monomial(target, 3) for n in source.names}
+        got = p.substitute(imgs)
+        assert len(got) == 1
+        assert got == reference_substitute(p, imgs)
+
+    @pytest.mark.parametrize("target", [XY, _TAG_CTX], ids=["xy", "tag"])
+    @given(data=st.data())
+    def test_cancelled_rows_and_negative_top_digits(self, target, data):
+        # u1**k - u2**k cancels row by row when u1 and u2 share an image,
+        # and u3 goes to rows whose top digit is negative
+        k = data.draw(st.integers(1, 3))
+        c = data.draw(COEFFS.filter(bool))
+        w = data.draw(COEFFS.filter(lambda v: v > 0))
+        shared = data.draw(polys(target, max_degree=2, max_terms=4))
+        low = negative_tops(data.draw(polys(target, max_degree=2, max_terms=4)))
+        u1, u2, u3 = (var(U123, n) for n in U123.names)
+        p = c * (u1**k - u2**k) + w * u3
+        imgs = {"u1": shared, "u2": shared, "u3": low}
+        got = p.substitute(imgs)
+        assert got == reference_substitute(p, imgs) == low * w
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [(XY, Z), (U123, Z), (U123, _TAG_CTX), (U12, U123)],
+        ids=["xy-z", "u123-z", "u123-tag", "u12-u123"],
+    )
+    @given(data=st.data())
+    def test_distinct_denominators(self, source, target, data):
+        # with one variable the whole result is a single row
+        p = data.draw(over(source, 7))
+        imgs = {n: data.draw(over(target, d)) for n, d in zip(source.names, (2, 3, 5))}
+        got = p.substitute(imgs)
+        assert got.context == target
+        assert got == reference_substitute(p, imgs)
+
+
 class TestJacobian:
     def test_shear_is_unit(self):
         info = jacobian_det(X, Y + X**2)
@@ -509,6 +590,21 @@ class TestExactDivision:
                 a.exact_div(b)
         else:
             assert rows(a.exact_div(b)) == want
+
+    @given(
+        polys(XY),
+        polys(XY, max_degree=4, max_terms=1).filter(bool),
+        polys(XY, max_degree=2, max_terms=2),
+    )
+    def test_one_term_divisor_matches_oracle(self, q, m, r):
+        # COEFFS gives the monomial negative and rational coefficients
+        a = reference_mul(q, m) + r
+        want = _b_exact_div(rows(a), rows(m))
+        if want is None:
+            with pytest.raises(ExactDivisionError):
+                a.exact_div(m)
+        else:
+            assert rows(a.exact_div(m)) == want
 
 
 class TestGcd:
