@@ -19,12 +19,10 @@ from .errors import (
 from .factor import (
     Factorization,
     PreservationReport,
-    ProbeResult,
     UnitsVerdict,
     UnitWitness,
     absolute_irreducibility,
     factor_bivariate,
-    factorially_closed_probe,
     image_under,
     localization_units_check,
     squarefree_decomposition,
@@ -40,7 +38,6 @@ from .groebner import (
     RunStats,
     block_order,
     buchberger,
-    eliminate,
     kernel_generator,
     normal_form,
     subring_membership,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 One subcommand per construction: check (full classification), kernel, uv,
-invert, member, factor, units, probe-fc, gen, gb. Output is deterministic
+invert, member, factor, units, gen, gb. Output is deterministic
 text on stdout; --json PATH additionally writes a machine-readable report.
 Exit codes: 0 for a completed run, 1 for a mathematical refusal (resource
 caps, degenerate input, failed preconditions), 2 for usage or syntax
@@ -28,11 +28,7 @@ from .errors import (
     UnknownVariableError,
     ZeroKernelError,
 )
-from .factor import (
-    factor_bivariate,
-    factorially_closed_probe,
-    localization_units_check,
-)
+from .factor import factor_bivariate, localization_units_check
 from .funcfield import uv_decomposition
 from .groebner import (
     DEFAULT_MAX_DEGREE,
@@ -468,40 +464,6 @@ def _cmd_units(args) -> int:
     return 0
 
 
-def _cmd_probe_fc(args) -> int:
-    stats = _run_stats(args)
-    f = _parse_map(args.p, args.q)
-    result = factorially_closed_probe(
-        f,
-        samples=args.samples,
-        degree_bound=args.degree_bound,
-        seed=args.seed,
-        stats=stats,
-    )
-    if result.violation is None:
-        print(f"no_violation_found (checked {result.checked} samples)")
-    else:
-        a1, a2 = result.violation
-        print("violation found:")
-        print(f"  a1 = {a1}  (outside the image subalgebra)")
-        print(f"  a2 = {a2}")
-        print(f"  a1 * a2 lies in the image subalgebra")
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "input": {"p": str(f.p), "q": str(f.q)},
-                "seed": args.seed,
-                "checked": result.checked,
-                "violation": None
-                if result.violation is None
-                else {"a1": str(result.violation[0]), "a2": str(result.violation[1])},
-            },
-        )
-    return 0
-
-
 def _cmd_gen(args) -> int:
     maps = []
     for k in range(args.count):
@@ -637,14 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-cap", type=_budget, default=10)
     _add_shared(p)
     p.set_defaults(fn=_cmd_units)
-
-    p = subs.add_parser("probe-fc", help="sampling probe for factorial closedness")
-    _add_map_args(p)
-    p.add_argument("--samples", type=_budget, default=12)
-    p.add_argument("--degree-bound", type=_budget, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    _add_shared(p)
-    p.set_defaults(fn=_cmd_probe_fc)
 
     p = subs.add_parser("gen", help="generate seeded tame automorphisms")
     p.add_argument("--seed", type=int, default=0)

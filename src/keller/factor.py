@@ -15,15 +15,13 @@ division run on `Polynomial` values truncated below y**m, so their
 products use the integer core of `poly.py`.
 
 On top of that sit the maps-level checks: does each irreducible factor of
-v keep a single irreducible image under f, are all unit generators of the
-localized ring inside the image subalgebra, and a seeded sampling probe
-for factorial closedness of the image subalgebra.
+v keep a single irreducible image under f, and are all unit generators of
+the localized ring inside the image subalgebra.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -38,7 +36,6 @@ from .errors import (
 from .groebner import RunStats, subring_membership
 from .linalg import nullity
 from .poly import (
-    U12,
     Endomorphism,
     Polynomial,
     VarContext,
@@ -219,15 +216,12 @@ def _lift_tree(
 
 
 def _factor_univariate_image(f: Polynomial, name: str) -> List[Polynomial]:
-    """Irreducible factors of a polynomial using only one variable."""
+    """Irreducible factors of a squarefree polynomial using only one variable."""
     ctx = f.context
     vi = ctx.index(name)
     # no other variable occurs, so the image at 1 is the dense list
-    _, parts = uni.factor(_eval_others(_cleared(f.terms)[0], vi, 1))
-    out = []
-    for g, mult in parts:
-        out.extend([_from_list(ctx, vi, g).normalized()] * mult)
-    return out
+    dense = _eval_others(_cleared(f.terms)[0], vi, 1)
+    return [_from_list(ctx, vi, g).normalized() for g in uni.factor_squarefree(dense)]
 
 
 def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
@@ -369,12 +363,6 @@ class Factorization:
         for g, mult in self.factors:
             acc = acc * g**mult
         return acc
-
-    def multiset(self) -> List[Polynomial]:
-        out: List[Polynomial] = []
-        for g, mult in self.factors:
-            out.extend([g] * mult)
-        return out
 
 
 def factor_bivariate(
@@ -591,95 +579,3 @@ def _units_verdict(
         for w in sorted(seen, key=lambda g: (g.total_degree(), str(g)))
     )
     return UnitsVerdict(all(wit.inside for wit in witnesses), witnesses)
-
-
-# -- factorially closed probe ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Outcome of the sampling probe for factorial closedness.
-
-    violation holds a pair (a1, a2) with a1 * a2 in the image subalgebra
-    but a1 outside it; None means no violation was found. The probe can
-    refute factorial closedness, never prove it.
-    """
-
-    violation: Optional[Tuple[Polynomial, Polynomial]]
-    checked: int
-
-
-_PROBE_FIXED = (
-    {(1, 0): Fraction(1)},
-    {(0, 1): Fraction(1)},
-    {(1, 1): Fraction(1)},
-    {(1, 0): Fraction(1), (0, 1): Fraction(1)},
-    {(1, 0): Fraction(1), (0, 1): Fraction(-1)},
-    {(2, 0): Fraction(1), (0, 1): Fraction(-1)},
-    {(0, 2): Fraction(1), (1, 0): Fraction(-1)},
-)
-
-
-def factorially_closed_probe(
-    f: Endomorphism,
-    *,
-    samples: int = 12,
-    degree_bound: int = 16,
-    seed: int = 0,
-    stats: Optional[RunStats] = None,
-) -> ProbeResult:
-    """Sample products forced into C[p,q] and test both cofactors for membership.
-
-    Each sample takes a polynomial G, factors the image G(p, q) in C[x,y],
-    splits its factor multiset into two nonempty products a1 * a2 = G(p,q),
-    and requires both halves to be members. Finding a half outside is a
-    witness against factorial closedness (and so against invertibility).
-    """
-    rng = random.Random(seed)
-    candidates = [Polynomial(U12, t) for t in _PROBE_FIXED]
-
-    def random_candidate() -> Polynomial:
-        terms = {}
-        for _ in range(rng.randint(2, 4)):
-            e = (rng.randint(0, 2), rng.randint(0, 2))
-            c = rng.randint(-3, 3)
-            if c:
-                terms[e] = terms.get(e, Fraction(0)) + c
-        return Polynomial(U12, {e: c for e, c in terms.items() if c})
-
-    checked = 0
-    attempts = 0
-    queue = list(candidates)
-    while checked < samples and attempts < samples * 6:
-        attempts += 1
-        G = queue.pop(0) if queue else random_candidate()
-        if G.is_zero() or G.is_constant():
-            continue
-        W = image_under(f, G)
-        if W.is_constant():
-            continue
-        if W.total_degree() > degree_bound:
-            continue
-        fact = factor_bivariate(W, degree_cap=degree_bound)
-        pieces = fact.multiset()
-        if not pieces:
-            continue
-        if len(pieces) == 1:
-            a1 = pieces[0]
-            a2 = W.exact_div(a1)
-        else:
-            k = rng.randint(1, len(pieces) - 1)
-            chosen = rng.sample(range(len(pieces)), k)
-            a1 = Polynomial.constant(W.context, 1)
-            for i in chosen:
-                a1 = a1 * pieces[i]
-            a2 = W.exact_div(a1)
-        checked += 1
-        first = subring_membership(a1, f, stats=stats)
-        if first is None:
-            return ProbeResult((a1, a2), checked)
-        if not a2.is_constant():
-            second = subring_membership(a2, f, stats=stats)
-            if second is None:
-                return ProbeResult((a2, a1), checked)
-    return ProbeResult(None, checked)

@@ -28,7 +28,6 @@ from .errors import (
     AlgebraicallyDependentError,
     ContextMismatchError,
     ResourceCapExceeded,
-    UnknownVariableError,
     ZeroKernelError,
 )
 from .linalg import solve_sparse
@@ -410,40 +409,6 @@ def normal_form(
     scale = cont / lam
     rem = Polynomial(f.context, {e: scale * c for e, c in reduced.items()})
     return rem, rem != f
-
-
-def eliminate(
-    ideal: Ideal,
-    drop: Iterable[str],
-    *,
-    stats: Optional[RunStats] = None,
-) -> Ideal:
-    """Eliminate the named variables from the ideal.
-
-    Returns the ideal of relations among the remaining variables, generated
-    by the elimination part of a block-order Groebner basis. Dropping
-    nothing returns the ideal spanned by a grevlex basis.
-    """
-    names = ideal.context.names
-    drop = tuple(dict.fromkeys(drop))
-    for n in drop:
-        if n not in names:
-            raise UnknownVariableError(f"cannot eliminate unknown variable {n!r}")
-    if not drop:
-        return Ideal(ideal.context, buchberger(ideal, GREVLEX, stats=stats))
-    kept = tuple(n for n in names if n not in drop)
-    if not kept:
-        raise ValueError("cannot eliminate every variable")
-    work_ctx = VarContext(drop + kept)
-    kept_ctx = VarContext(kept)
-    work_ideal = Ideal(work_ctx, [g.reindex(work_ctx) for g in ideal.generators])
-    basis = buchberger(work_ideal, block_order(len(drop)), stats=stats)
-    k = len(drop)
-    out = []
-    for b in basis:
-        if all(not any(e[:k]) for e in b.terms):
-            out.append(b.reindex(kept_ctx))
-    return Ideal(kept_ctx, out)
 
 
 # -- the kernel relation ----------------------------------------------------

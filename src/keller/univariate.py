@@ -1,4 +1,4 @@
-"""Dense univariate arithmetic and complete factorization over Z.
+"""Dense univariate arithmetic and squarefree factorization over Z.
 
 Polynomials are dense lists, ascending degree, no trailing zeros. This
 module is the package's one home for that format: one helper per
@@ -7,10 +7,10 @@ Q has `_divmod_q`/`_xgcd_q`, Z/m has `_mod`/`_mul_mod`/`_divmod_mod`), and
 the one Zassenhaus subset-recombination loop `_recombine`, which the
 bivariate factorizer in `factor.py` shares.
 
-The factorization pipeline is classical: squarefree split (Yun), distinct
-factors modulo a suitable prime (Berlekamp), Hensel lifting past the factor
-coefficient bound, then subset recombination with trial division.
-Everything is exact.
+Factorization takes a squarefree input, since `factor.py` splits off the
+squarefree parts first. The pipeline is classical: distinct factors modulo
+a suitable prime (Berlekamp), Hensel lifting past the factor coefficient
+bound, then subset recombination with trial division. Everything is exact.
 """
 
 from __future__ import annotations
@@ -128,18 +128,6 @@ def _xgcd_q(f: list, g: list) -> Tuple[List[Fraction], List[Fraction]]:
     return [c * inv for c in s0], [c * inv for c in t0]
 
 
-def div_exact(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Exact division in Q[x] with an integrality check on the result."""
-    if not g:
-        raise ZeroDivisionError("division by zero polynomial")
-    q, r = _divmod_q(f, g)
-    if r:
-        raise InternalInconsistencyError("expected exact univariate division")
-    if any(c.denominator != 1 for c in q):
-        raise InternalInconsistencyError("expected an integer quotient")
-    return [c.numerator for c in q]
-
-
 def _prem(f: IntPoly, g: IntPoly) -> IntPoly:
     """Pseudo-remainder with content stripping along the way."""
     r = list(f)
@@ -169,34 +157,6 @@ def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:
         r = _prem(a, b)
         a, b = b, primitive(r) if r else []
     return primitive(a)
-
-
-def squarefree_parts(f: IntPoly) -> List[Tuple[IntPoly, int]]:
-    """Yun's algorithm on a primitive polynomial of degree >= 1.
-
-    Returns [(part, multiplicity)] with each part squarefree and primitive,
-    product of part**multiplicity equal to f up to sign.
-    """
-    d = derivative(f)
-    g = gcd_z(f, d)
-    if deg(g) == 0:
-        return [(primitive(list(f)), 1)]
-    w = div_exact(f, g)
-    y = div_exact(d, g)
-    out: List[Tuple[IntPoly, int]] = []
-    i = 1
-    while deg(w) > 0:
-        z = sub(y, derivative(w))
-        if not z:
-            out.append((primitive(w), i))
-            break
-        h = gcd_z(w, z)
-        if deg(h) > 0:
-            out.append((primitive(h), i))
-        w = div_exact(w, h) if deg(h) > 0 else w
-        y = div_exact(z, h) if deg(h) > 0 else z
-        i += 1
-    return out
 
 
 # -- arithmetic modulo m ----------------------------------------------------------
@@ -528,21 +488,3 @@ def factor_squarefree(f: IntPoly) -> List[IntPoly]:
         raise InternalInconsistencyError("factor recombination failed to multiply back")
     return sorted(out)
 
-
-def factor(f: IntPoly) -> Tuple[int, List[Tuple[IntPoly, int]]]:
-    """Full factorization: (content with sign, [(irreducible, multiplicity)])."""
-    f = strip(list(f))
-    if not f:
-        raise ValueError("cannot factor the zero polynomial")
-    c = content(f)
-    if f[-1] < 0:
-        c = -c
-    prim = [a // c for a in f]
-    if deg(prim) == 0:
-        return c, []
-    out: List[Tuple[IntPoly, int]] = []
-    for part, mult in squarefree_parts(prim):
-        for g in factor_squarefree(part):
-            out.append((g, mult))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return c, out

@@ -69,6 +69,11 @@ class TestExitCodes:
     def test_missing_arguments_is_two(self, capsys):
         assert run(capsys, ["check"])[0] == 2
 
+    def test_unknown_verb_is_two(self, capsys):
+        code, _, err = run(capsys, ["probe-fc", "-p", "x", "-q", "y"])
+        assert code == 2
+        assert "invalid choice: 'probe-fc'" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -84,8 +89,6 @@ class TestExitCodes:
             ["factor", "-e", "x", "--degree-cap", "-1"],
             ["units", "-p", "x", "-q", "y", "-v", "u1", "--degree-cap", "-1"],
             ["gen", "--degree-cap", "-1"],
-            ["probe-fc", "-p", "x", "-q", "y", "--samples", "-1"],
-            ["probe-fc", "-p", "x", "-q", "y", "--degree-bound", "-1"],
             ["gen", "--count", "-1"],
             ["check", "-p", "x"],
         ],
@@ -102,8 +105,6 @@ class TestExitCodes:
             "factor-negative-degree-cap",
             "units-negative-degree-cap",
             "gen-negative-degree-cap",
-            "probe-negative-samples",
-            "probe-negative-degree-bound",
             "gen-negative-count",
             "check-without-q",
         ],
@@ -182,10 +183,6 @@ class TestPinnedOutput:
         _, out, _ = run(capsys, ["units", "-p", "x", "-q", "x*y", "-v", "u1"])
         assert "all units in subring: True" in out
         assert "factor x: inside (G = u1)" in out
-
-    def test_probe_finds_violation(self, capsys):
-        _, out, _ = run(capsys, ["probe-fc", "-p", "x^2", "-q", "y", "--seed", "0"])
-        assert "violation found:" in out
 
     def test_gb_elimination_order(self, capsys):
         code, out, _ = run(

@@ -13,7 +13,6 @@ from keller.factor import (
     _yun,
     absolute_irreducibility,
     factor_bivariate,
-    factorially_closed_probe,
     image_under,
     localization_units_check,
     squarefree_decomposition,
@@ -31,7 +30,8 @@ from keller.poly import (
 )
 from keller.tame import random_tame
 
-from oracles import reference_factor_bivariate
+from oracles import reference_factor_bivariate, reference_factor_univariate
+from test_univariate import small_products
 
 U1 = Polynomial.variable(U12, "u1")
 U2 = Polynomial.variable(U12, "u2")
@@ -64,6 +64,11 @@ class TestSquarefreeDecomposition:
     def test_content_is_dropped(self):
         got = squarefree_decomposition(uu("12*u1^2"))
         assert got == [(U1, 2)]
+
+    def test_three_multiplicities_in_one_variable(self):
+        got = squarefree_decomposition(uu("(u1 - 1)^2*(u1 + 2)^3*u1"))
+        # parts sort by (total degree, str)
+        assert got == [(uu("u1 - 1"), 2), (uu("u1 + 2"), 3), (U1, 1)]
 
     # seeds 6 and 10 give the part x + x^2*y
     @pytest.mark.parametrize("seed", range(12))
@@ -306,6 +311,15 @@ class TestFactorBivariate:
         got = factor_bivariate(f).factors
         assert dict(got) == dict(reference_factor_bivariate(f))
 
+    @given(small_products(), st.integers(1, 3))
+    def test_one_variable_multiplicities_match_reference(self, dense, k):
+        def in_u1(g):
+            return Polynomial(U12, {(i, 0): c for i, c in enumerate(g) if c})
+
+        got = factor_bivariate(in_u1(dense) ** k, degree_cap=12).factors
+        want = [str(in_u1(g).normalized()) for g in reference_factor_univariate(dense)]
+        assert sorted(str(g) for g, m in got for _ in range(m)) == sorted(want * k)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_remultiplication_exact(self, seed):
         rng = random.Random(40 + seed)
@@ -417,32 +431,6 @@ class TestLocalizationUnits:
                     for vj, _ in factor_bivariate(v).factors
                 )
                 assert verdict.all_units_in_Cpq == preserved
-
-
-class TestFactoriallyClosedProbe:
-    def test_identity_never_violates(self):
-        f = Endomorphism(X, Y)
-        result = factorially_closed_probe(f, samples=8, seed=1)
-        assert result.violation is None
-        assert result.checked >= 8
-
-    def test_square_map_yields_parity_violation(self):
-        f = Endomorphism(X**2, Y)
-        result = factorially_closed_probe(f, samples=8, seed=0)
-        assert result.violation is not None
-        a1, a2 = result.violation
-        assert a1 == X and a2 == X
-
-    def test_shear_map_never_violates(self):
-        f = Endomorphism(X, Y + X**2)
-        result = factorially_closed_probe(f, samples=10, seed=3)
-        assert result.violation is None
-
-    def test_deterministic_for_fixed_seed(self):
-        f = Endomorphism(X**2, Y)
-        a = factorially_closed_probe(f, samples=5, seed=9)
-        b = factorially_closed_probe(f, samples=5, seed=9)
-        assert (a.violation, a.checked) == (b.violation, b.checked)
 
 
 class TestImageUnder:

@@ -6,17 +6,29 @@ Coefficient lists are ascending: [c0, c1, ..., cn] stands for c0 + c1 x + ...
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from keller import univariate as uni
+from keller.factor import squarefree_decomposition
+from keller.poly import U12, Polynomial
 
-from oracles import reference_factor_univariate
+from oracles import _u_exact_div, reference_factor_univariate
 
 
-def as_ints(fracs):
-    assert all(c.denominator == 1 for c in fracs)
-    return [int(c) for c in fracs]
+def squarefree(f):
+    return uni.deg(uni.gcd_z(f, uni.derivative(f))) == 0
+
+
+def squarefree_parts(f):
+    """squarefree_decomposition of a dense list in u1, with dense parts."""
+    parts = squarefree_decomposition(
+        Polynomial(U12, {(i, 0): c for i, c in enumerate(f) if c})
+    )
+    return [
+        ([int(p.terms.get((i, 0), 0)) for i in range(p.degree_in("u1") + 1)], m)
+        for p, m in parts
+    ]
 
 
 class TestArithmetic:
@@ -52,14 +64,6 @@ class TestArithmetic:
         assert uni.primitive([6, -9, 12]) == [2, -3, 4]
         assert uni.primitive([-2, -4]) == [1, 2]
 
-    def test_div_exact_roundtrip(self):
-        f = uni.mul([1, 0, 2], [-3, 1, 1])
-        assert uni.div_exact(f, [1, 0, 2]) == [-3, 1, 1]
-
-    def test_div_exact_rejects_nondivisor(self):
-        with pytest.raises(Exception):
-            uni.div_exact([1, 1, 1], [1, 1])
-
 
 class TestGcd:
     def test_known_pair(self):
@@ -83,14 +87,16 @@ class TestGcd:
         b = uni.mul(common, [rng.randint(-3, 3) for _ in range(2)] + [1])
         g = uni.gcd_z(a, b)
         assert uni.deg(g) >= uni.deg(uni.primitive(common)) - 1
-        uni.div_exact(a, g)
-        uni.div_exact(b, g)
+        assert _u_exact_div(a, g) is not None
+        assert _u_exact_div(b, g) is not None
 
 
 class TestSquarefree:
+    """The one squarefree split, `factor`'s Yun loop, on one-variable input."""
+
     def test_multiplicities_recovered(self):
         f = uni.mul(uni.mul([1, 1], [1, 1]), [-2, 1])
-        parts = uni.squarefree_parts(f)
+        parts = squarefree_parts(f)
         assert sorted((tuple(p), m) for p, m in parts) == [
             ((-2, 1), 1),
             ((1, 1), 2),
@@ -98,11 +104,11 @@ class TestSquarefree:
 
     def test_squarefree_input_passes_through(self):
         f = [6, 5, 1]
-        assert uni.squarefree_parts(f) == [([6, 5, 1], 1)]
+        assert squarefree_parts(f) == [([6, 5, 1], 1)]
 
     def test_pure_power(self):
         f = uni.mul(uni.mul([0, 1], [0, 1]), [0, 1])
-        assert uni.squarefree_parts(f) == [([0, 1], 3)]
+        assert squarefree_parts(f) == [([0, 1], 3)]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_product_reconstructs(self, seed):
@@ -114,7 +120,7 @@ class TestSquarefree:
                 f = uni.mul(f, part)
         f = uni.primitive(f)
         back = [1]
-        for part, mult in uni.squarefree_parts(f):
+        for part, mult in squarefree_parts(f):
             for _ in range(mult):
                 back = uni.mul(back, part)
         assert uni.primitive(back) == f
@@ -136,75 +142,60 @@ def small_products(draw):
 
 
 class TestFactor:
+    """factor_squarefree on squarefree inputs; factor.py splits off the rest."""
+
     @pytest.mark.parametrize(
-        "f,content,factors",
+        "f,factors",
         [
-            pytest.param(
-                [-1, 0, 1], 1, [([-1, 1], 1), ([1, 1], 1)], id="difference_of_squares"
-            ),
+            pytest.param([-1, 0, 1], [[-1, 1], [1, 1]], id="difference_of_squares"),
             # (x^2+1)(x^2-2)(x^2+3): five factors mod p, four of them
             # linear, so two true factors come from subsets of size 2
             pytest.param(
                 [-6, 0, -5, 0, 2, 0, 1],
-                1,
-                [([-2, 0, 1], 1), ([1, 0, 1], 1), ([3, 0, 1], 1)],
+                [[-2, 0, 1], [1, 0, 1], [3, 0, 1]],
                 id="three_quadratics_size_two",
             ),
         ],
     )
-    def test_exact_factors(self, f, content, factors):
-        assert uni.factor(f) == (content, factors)
+    def test_exact_factors(self, f, factors):
+        assert sorted(uni.factor_squarefree(f)) == factors
 
     def test_twelfth_cyclotomic_split(self):
         f = [-1] + [0] * 11 + [1]
-        _, factors = uni.factor(f)
-        degs = sorted(uni.deg(g) for g, _ in factors)
-        assert degs == [1, 1, 2, 2, 2, 4]
+        factors = uni.factor_squarefree(f)
+        assert sorted(uni.deg(g) for g in factors) == [1, 1, 2, 2, 2, 4]
         back = [1]
-        for g, m in factors:
-            for _ in range(m):
-                back = uni.mul(back, g)
+        for g in factors:
+            back = uni.mul(back, g)
         assert back == f
 
     def test_nonmonic(self):
         # 6x^2 + x - 2 = (2x - 1)(3x + 2)
-        _, factors = uni.factor([-2, 1, 6])
-        assert sorted(tuple(g) for g, _ in factors) == [(-1, 2), (2, 3)]
+        assert uni.factor_squarefree([-2, 1, 6]) == [[-1, 2], [2, 3]]
 
-    def test_content_carries_sign(self):
-        c, factors = uni.factor([-4, 0, -4])
-        assert c == -4
-        assert factors == [([1, 0, 1], 1)]
+    def test_content_and_sign_dropped(self):
+        assert uni.factor_squarefree([-4, 0, -4]) == [[1, 0, 1]]
 
     def test_constant_has_no_factors(self):
-        assert uni.factor([7]) == (7, [])
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            uni.factor([0, 0])
+        assert uni.factor_squarefree([7]) == []
 
     def test_irreducible_quartic_stays_whole(self):
-        _, factors = uni.factor([-2, 0, 0, 0, 1])
-        assert factors == [([-2, 0, 0, 0, 1], 1)]
+        assert uni.factor_squarefree([-2, 0, 0, 0, 1]) == [[-2, 0, 0, 0, 1]]
 
     def test_matches_reference_to_degree_four(self):
         rng = random.Random(5)
         for _ in range(40):
-            f = [rng.randint(-5, 5) for _ in range(rng.randint(2, 5))]
-            if uni.deg(uni.strip(f)) < 1:
+            f = uni.strip([rng.randint(-5, 5) for _ in range(rng.randint(2, 5))])
+            if uni.deg(f) < 1 or not squarefree(f):
                 continue
-            _, got = uni.factor(f)
-            flat = []
-            for g, m in got:
-                flat.extend([tuple(g)] * m)
-            want = [tuple(g) for g in reference_factor_univariate(f)]
-            assert sorted(flat) == sorted(want)
+            got = sorted(tuple(g) for g in uni.factor_squarefree(f))
+            assert got == sorted(tuple(g) for g in reference_factor_univariate(f))
 
     @given(small_products())
     def test_matches_reference_property(self, f):
-        _, got = uni.factor(f)
-        flat = sorted(tuple(g) for g, m in got for _ in range(m))
-        assert flat == sorted(tuple(g) for g in reference_factor_univariate(f))
+        assume(squarefree(f))
+        got = sorted(tuple(g) for g in uni.factor_squarefree(f))
+        assert got == sorted(tuple(g) for g in reference_factor_univariate(f))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_products_multiply_back(self, seed):
@@ -215,24 +206,21 @@ class TestFactor:
                 rng.randint(1, 3)
             ]
             f = uni.mul(f, g)
-        c, factors = uni.factor(f)
-        back = [c]
-        for g, m in factors:
-            for _ in range(m):
-                back = uni.mul(back, g)
-        assert back == uni.strip(f)
+        assert squarefree(f)
+        back = [1]
+        for g in uni.factor_squarefree(f):
+            back = uni.mul(back, g)
+        assert back == uni.primitive(f)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_factors_are_irreducible_on_refactor(self, seed):
         rng = random.Random(50 + seed)
         f = [rng.randint(-4, 4) for _ in range(6)] + [1]
-        _, factors = uni.factor(f)
-        for g, _ in factors:
-            _, again = uni.factor(g)
-            assert again == [(g, 1)]
+        assert squarefree(f)
+        for g in uni.factor_squarefree(f):
+            assert uni.factor_squarefree(g) == [g]
 
     def test_large_coefficients(self):
         big = 10**6
         f = uni.mul([big, 1], [-big, 1])
-        _, factors = uni.factor(f)
-        assert sorted(tuple(g) for g, _ in factors) == [(-big, 1), (big, 1)]
+        assert sorted(uni.factor_squarefree(f)) == [[-big, 1], [big, 1]]
