@@ -10,9 +10,12 @@ polynomial, Hensel-lift that split back to a factorization over Q[[y]] to
 enough precision, then recombine subsets by trial division. Non-monic
 inputs are handled with the usual leading-coefficient substitution trick.
 Dense univariate arithmetic (over Z, Q and Z/m) and the subset
-recombination loop live in `univariate.py`; the lift and the trial
-division run on `Polynomial` values truncated below y**m, so their
-products use the integer core of `poly.py`.
+recombination loop live in `univariate.py`. The lift runs on dense
+integer rows: a polynomial in x over Q[y]/(y**k) is a list over x-degree
+of integer lists over y-degree with one denominator, and products stop
+below y**k while they multiply. Recombination multiplies lifted factors
+and tests integrality on the same rows; only an integral candidate
+becomes a `Polynomial`, for the trial division.
 
 On top of that sit the maps-level checks: does each irreducible factor of
 v keep a single irreducible image under f, and are all unit generators of
@@ -21,7 +24,9 @@ the localized ring inside the image subalgebra.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -40,9 +45,7 @@ from .poly import (
     Polynomial,
     VarContext,
     _cleared,
-    _coeffs_in,
     _eval_others,
-    _from_coeffs,
     _from_list,
     _split_var_content,
     poly_gcd,
@@ -137,79 +140,119 @@ _CERTIFICATE_POINTS = 5
 
 # -- the y-adic Hensel lift --------------------------------------------------
 #
-# The lift runs on Polynomial values in the input's context, viewed as
-# polynomials in x whose coefficients are truncated below y**m.
+# The lift runs on truncated series: a polynomial in x over Q[y]/(y**k) is a
+# pair (rows, den), rows[i] the k integer y-coefficients of x**i and den one
+# positive denominator for the whole polynomial.
 
 
-def _trunc(p: Polynomial, yi: int, m: int) -> Polynomial:
-    """The terms of p of degree below m in the variable of index yi."""
-    return Polynomial._raw(p.context, {e: c for e, c in p.terms.items() if e[yi] < m})
+def _reduced(rows: List[List[int]], den: int) -> Tuple[List[List[int]], int]:
+    """(rows, den) in lowest terms, without zero rows on top."""
+    while rows and not any(rows[-1]):
+        rows.pop()
+    g = math.gcd(den, *itertools.chain.from_iterable(rows))
+    if g > 1:
+        rows = [[c // g for c in r] for r in rows]
+        den //= g
+    return rows, den
 
 
-def _divmod_monic(
-    f: Polynomial, g: Polynomial, xi: int, yi: int, m: int
-) -> Tuple[Polynomial, Polynomial]:
-    """Divide f by g monic in variable xi, coefficients taken modulo y**m."""
-    gc = _coeffs_in(g, xi)
-    dg = max(gc)
-    rem = _coeffs_in(f, xi)
-    zero = Polynomial.zero(f.context)
-    q = {}
-    for k in range(max(rem, default=-1) - dg, -1, -1):
-        lead = rem.pop(k + dg, None)
-        if not lead:
-            continue
-        q[k] = lead
-        for i, gi in gc.items():
-            if i < dg:
-                rem[k + i] = _trunc(rem.get(k + i, zero) - lead * gi, yi, m)
-    return _from_coeffs(f.context, xi, q), _from_coeffs(f.context, xi, rem)
+def _at(a, k: int):
+    """a with every row cut or padded to k coefficients."""
+    return [(r + [0] * k)[:k] for r in a[0]], a[1]
 
 
-def _lift_pair(
-    F: Polynomial,
-    g: Polynomial,
-    h: Polynomial,
-    s: Polynomial,
-    t: Polynomial,
-    xi: int,
-    yi: int,
-    m: int,
-) -> Tuple[Polynomial, Polynomial]:
-    """Lift F == g*h (mod y) with s*g + t*h == 1 (mod y) to precision y**m."""
-    one = Polynomial.constant(F.context, 1)
-    cur = 1
-    while cur < m:
-        nxt = min(2 * cur, m)
-        e = _trunc(F - g * h, yi, nxt)
-        q, r = _divmod_monic(_trunc(s * e, yi, nxt), h, xi, yi, nxt)
-        g = _trunc(g + t * e + q * g, yi, nxt)
-        h = h + r
-        b = _trunc(s * g + t * h - one, yi, nxt)
-        c, d = _divmod_monic(_trunc(s * b, yi, nxt), h, xi, yi, nxt)
-        s = s - d
-        t = _trunc(t - t * b - c * g, yi, nxt)
-        cur = nxt
-    return g, h
+def _s_mul(a, b, k: int):
+    """a * b below y**k; no y-degree k or above is ever formed."""
+    (A, da), (B, db) = a, b
+    out = [[0] * k for _ in range(len(A) + len(B) - 1)]
+    for i, ra in enumerate(A):
+        for j, rb in enumerate(B):
+            row = out[i + j]
+            for p, c in enumerate(ra):
+                if c:
+                    for q in range(k - p):
+                        row[p + q] += c * rb[q]
+    return _reduced(out, da * db)
 
 
-def _lift_tree(
-    F: Polynomial, parts: List[List[int]], xi: int, yi: int, m: int
-) -> List[Polynomial]:
-    """Lift a univariate split of F mod y to a factorization mod y**m."""
+def _s_add(a, b, k: int, sign: int = 1):
+    """a + sign * b."""
+    (A, da), (B, db) = a, b
+    g = math.gcd(da, db)
+    fa, fb = db // g, sign * (da // g)
+    out = [
+        [u * fa + v * fb for u, v in zip(ra, rb)]
+        for ra, rb in itertools.zip_longest(A, B, fillvalue=[0] * k)
+    ]
+    return _reduced(out, da // g * db)
+
+
+def _s_divmod(a, h, k: int):
+    """Quotient and remainder of a by h, monic in x, below y**k.
+
+    h = H / dh with top row H[n] = [dh, 0, ...], so each step is one
+    pseudo-division step: scale by dh, subtract lead * H.
+    """
+    (A, den), (H, dh) = a, h
+    n = len(H) - 1
+    rem = [list(r) for r in A]
+    quo = []
+    while len(rem) > n:
+        lead = rem.pop()
+        quo.append(lead)
+        if dh != 1:
+            rem = [[c * dh for c in r] for r in rem]
+            quo = [[c * dh for c in r] for r in quo]
+            den *= dh
+        for row, hi in zip(rem[len(rem) - n :], H):
+            for p, c in enumerate(lead):
+                if c:
+                    for q in range(k - p):
+                        row[p + q] -= c * hi[q]
+    quo.reverse()
+    return _reduced(quo, den), _reduced(rem, den)
+
+
+def _lift_pair(F, g, h, s, t, m: int):
+    """Lift F == g*h (mod y) with s*g + t*h == 1 (mod y) to precision y**m.
+
+    The quadratic lift of von zur Gathen and Gerhard (Modern Computer
+    Algebra, 15.10) on series; g and h are monic in x, and s, t are not
+    lifted past the last step.
+    """
+    k = 1
+    while True:
+        k = min(2 * k, m)
+        g, h, s, t = (_at(a, k) for a in (g, h, s, t))
+        e = _s_add(_at(F, k), _s_mul(g, h, k), k, -1)
+        q, r = _s_divmod(_s_mul(s, e, k), h, k)
+        g = _s_add(g, _s_add(_s_mul(t, e, k), _s_mul(q, g, k), k), k)
+        h = _s_add(h, r, k)
+        if k == m:
+            return g, h
+        one = ([[1] + [0] * (k - 1)], 1)
+        b = _s_add(_s_add(_s_mul(s, g, k), _s_mul(t, h, k), k), one, k, -1)
+        c, d = _s_divmod(_s_mul(s, b, k), h, k)
+        s = _s_add(s, d, k, -1)
+        t = _s_add(t, _s_add(_s_mul(t, b, k), _s_mul(c, g, k), k), k, -1)
+
+
+def _seed(f: list):
+    """The series of a list of ints or Fractions in x, constant in y."""
+    den = math.lcm(*(Fraction(c).denominator for c in f))
+    return [[int(c * den)] for c in f], den
+
+
+def _lift_tree(F, parts: List[List[int]], m: int) -> list:
+    """Lift a univariate split of the series F mod y to one mod y**m."""
     if len(parts) == 1:
-        return [_trunc(F, yi, m)]
+        return [F]
     k = len(parts) // 2
-    g0 = [1]
-    for piece in parts[:k]:
-        g0 = uni.mul(g0, piece)
-    h0 = [1]
-    for piece in parts[k:]:
-        h0 = uni.mul(h0, piece)
+    g0 = functools.reduce(uni.mul, parts[:k])
+    h0 = functools.reduce(uni.mul, parts[k:])
     s, t = uni._xgcd_q(g0, h0)
-    seeds = (_from_list(F.context, xi, c) for c in (g0, h0, s, t))
-    g, h = _lift_pair(F, *seeds, xi, yi, m)
-    return _lift_tree(g, parts[:k], xi, yi, m) + _lift_tree(h, parts[k:], xi, yi, m)
+    g, h = _lift_pair(F, *map(_seed, (g0, h0, s, t)), m)
+    return _lift_tree(g, parts[:k], m) + _lift_tree(h, parts[k:], m)
 
 
 # -- the bivariate factor engine ----------------------------------------------
@@ -222,6 +265,27 @@ def _factor_univariate_image(f: Polynomial, name: str) -> List[Polynomial]:
     # no other variable occurs, so the image at 1 is the dense list
     dense = _eval_others(_cleared(f.terms)[0], vi, 1)
     return [_from_list(ctx, vi, g).normalized() for g in uni.factor_squarefree(dense)]
+
+
+def _from_rows(ctx: VarContext, xi: int, yi: int, rows: List[List[int]]) -> Polynomial:
+    """The polynomial sum rows[i][j] * x**i * y**j."""
+    base = [0] * ctx.arity
+    terms = {}
+    for i, row in enumerate(rows):
+        base[xi] = i
+        for j, c in enumerate(row):
+            if c:
+                base[yi] = j
+                terms[tuple(base)] = Fraction(c)
+    return Polynomial._raw(ctx, terms)
+
+
+def _shifted(f: List[int], c: int) -> List[int]:
+    """f(y + c) for a dense integer list f in y."""
+    out: List[int] = []
+    for v in reversed(f):
+        out = uni.add(uni.mul(out, [c, 1]), [v])
+    return out
 
 
 def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
@@ -255,28 +319,29 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
     part = prim
 
     # primitive in x and linear in x: irreducible
-    if part.degree_in(xn) == 1:
+    n = part.degree_in(xn)
+    if n == 1:
         return [part.normalized()]
 
-    n = part.degree_in(xn)
-    coeffs = _coeffs_in(part, xi)
-    lc = coeffs[n]
-    if lc.is_constant() and lc.constant_value() == 1:
-        fstar = part
-    else:
-        scaled = {n: Polynomial.constant(ctx, 1)}
-        for i in range(n):
-            if i in coeffs:
-                scaled[i] = coeffs[i] * lc ** (n - 1 - i)
-        fstar = _from_coeffs(ctx, xi, scaled)
+    # the dense y-lists of the coefficients in x, then the monic form
+    # lc**(n-1) * part(x / lc, y), whose top row is [1]
+    rows = [[0] * (part.degree_in(yn) + 1) for _ in range(n + 1)]
+    for e, c in part.terms.items():
+        rows[e[xi]][e[yi]] = int(c)
+    rows = [uni.strip(r) for r in rows]
+    lc = rows[n]
+    power = [1]
+    for i in range(n - 1, -1, -1):
+        rows[i] = uni.mul(rows[i], power)
+        power = uni.mul(power, lc)
+    rows[n] = [1]
 
     # evaluation point with a squarefree image
     u = None
     point = None
     for c in _eval_points():
-        cand = _eval_others(fstar.terms, xi, c)
-        if len(cand) != n + 1:
-            raise InternalInconsistencyError("monic image lost degree")
+        # each row at y = c, by Horner's rule
+        cand = [functools.reduce(lambda v, a: v * c + a, reversed(r), 0) for r in rows]
         if uni.deg(uni.gcd_z(cand, uni.derivative(cand))) == 0:
             u, point = cand, c
             break
@@ -288,22 +353,18 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
         return [part.normalized()]
 
     if point:
-        yv = Polynomial.variable(ctx, yn)
-        shift_map = {name: Polynomial.variable(ctx, name) for name in ctx.names}
-        shift_map[yn] = yv + Polynomial.constant(ctx, point)
-        fshift = fstar.substitute(shift_map)
-    else:
-        fshift = fstar
-    m = fshift.degree_in(yn) + 1
-
-    lifted = _lift_tree(fshift, seed_parts, xi, yi, m)
+        rows = [_shifted(r, point) for r in rows]
+    fshift = _from_rows(ctx, xi, yi, rows) if point or lc != [1] else part
+    m = max(map(len, rows))
+    lifted = _lift_tree(_at((rows, 1), m), seed_parts, m)
 
     def trial(combo, remaining):
-        cand = Polynomial.constant(ctx, 1)
-        for i in combo:
-            cand = _trunc(cand * lifted[i], yi, m)
-        if any(c.denominator != 1 for c in cand.terms.values()):
+        cand = lifted[combo[0]]
+        for i in combo[1:]:
+            cand = _s_mul(cand, lifted[i], m)
+        if cand[1] != 1:
             return None
+        cand = _from_rows(ctx, xi, yi, cand[0])
         try:
             return cand, remaining.exact_div(cand)
         except ExactDivisionError:
@@ -319,11 +380,11 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
     if point:
         unshift[yn] = Polynomial.variable(ctx, yn) - Polynomial.constant(ctx, point)
     unmonic = {name: Polynomial.variable(ctx, name) for name in ctx.names}
-    unmonic[xn] = lc * Polynomial.variable(ctx, xn)
+    unmonic[xn] = _from_list(ctx, yi, lc) * Polynomial.variable(ctx, xn)
     for g in found:
         if point:
             g = g.substitute(unshift)
-        if not (lc.is_constant() and lc.constant_value() == 1):
+        if lc != [1]:
             g = g.substitute(unmonic)
             # the substitution smuggles in powers of lc(y): strip the content
             # of g viewed as a polynomial in x

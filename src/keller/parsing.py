@@ -209,6 +209,24 @@ def parse_expression(text: str) -> Node:
     return _Parser(text).parse()
 
 
+def _monomial(items: Tuple[Node, ...], context: VarContext):
+    """A product of constants, variables and powers of variables as one
+    term; None when any factor is something else or an unknown variable."""
+    coeff = Fraction(1)
+    exps = [0] * context.arity
+    for item in items:
+        if isinstance(item, Const):
+            coeff *= item.value
+            continue
+        e = 1
+        if isinstance(item, Pow):
+            item, e = item.base, item.exponent
+        if not isinstance(item, Var) or item.name not in context.names:
+            return None
+        exps[context.index(item.name)] += e
+    return Polynomial.monomial(context, tuple(exps), coeff)
+
+
 def _evaluate(node: Node, context: VarContext) -> Polynomial:
     if isinstance(node, Const):
         return Polynomial.constant(context, node.value)
@@ -224,6 +242,9 @@ def _evaluate(node: Node, context: VarContext) -> Polynomial:
             acc = acc + _evaluate(item, context)
         return acc
     if isinstance(node, Prod):
+        term = _monomial(node.items, context)
+        if term is not None:
+            return term
         acc = Polynomial.constant(context, 1)
         for item in node.items:
             acc = acc * _evaluate(item, context)

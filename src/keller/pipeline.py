@@ -104,6 +104,13 @@ _CANDIDATE_NOTE = (
     "a map with constant nonzero Jacobian and r >= 2 would be invertible-"
     "breaking; expect an artifact bug rather than a genuine example"
 )
+_CONSTANT_V_NOTE = (
+    "v is constant, so there is nothing to factor and bit iii holds without "
+    "any work: it is not independent evidence here. Bit iii factors over Q "
+    "and tests units in Q[p, q], where the paper asks about C(p, q); this "
+    "cannot change a verdict on a Keller map, which rests on r and the "
+    "verified inverse, with bit iii checked against r"
+)
 
 
 def invert(
@@ -287,6 +294,8 @@ def _classify(
             report.verdict = Verdict.COUNTEREXAMPLE_CANDIDATE
             notes.append(_CANDIDATE_NOTE)
         report.tfae = TfaeReport(bit_i, bit_ii, bit_iii)
+        if uv.v.is_constant():
+            notes.append(_CONSTANT_V_NOTE)
 
     report.notes = tuple(notes)
     return report

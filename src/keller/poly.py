@@ -759,15 +759,6 @@ def _coeffs_in(p: Polynomial, i: int) -> dict:
     return result
 
 
-def _from_coeffs(context: VarContext, i: int, coeffs: Mapping[int, Polynomial]) -> Polynomial:
-    out = {}
-    for d, poly in coeffs.items():
-        for exps, c in poly.terms.items():
-            key = exps[:i] + (exps[i] + d,) + exps[i + 1 :]
-            out[key] = out.get(key, _ZERO) + c
-    return Polynomial._raw(context, {e: c for e, c in out.items() if c})
-
-
 def _from_list(context: VarContext, i: int, f: Sequence) -> Polynomial:
     """The polynomial sum f[k] * x_i**k for a dense list of ints or Fractions."""
     base = [0] * context.arity
@@ -846,9 +837,31 @@ def _prem(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
 
 
 def _split_var_content(p: Polynomial, i: int):
-    """Content/primitive split of p seen as univariate in variable i."""
-    coeffs = _coeffs_in(p, i)
-    cont = _gcd_many(list(coeffs.values()))
+    """Content/primitive split of p seen as univariate in variable i.
+
+    When every coefficient lives in one other variable j, the coefficients
+    are read once as dense integer lists in j, and the content is the
+    integer content times one ``uni.gcd_z`` fold over them (Gauss's
+    lemma), with a positive lead. Coefficients in two or more variables
+    take ``_gcd_many``.
+    """
+    num, _ = _cleared(p.terms)
+    others = {k for e in num for k, n in enumerate(e) if n and k != i}
+    if len(others) > 1:
+        cont = _gcd_many(list(_coeffs_in(p, i).values()))
+    else:
+        # with at most one other variable j, sum(e) - e[i] is e[j]
+        width = max(sum(e) - e[i] for e in num) + 1
+        rows: dict = {}
+        for e, c in num.items():
+            rows.setdefault(e[i], [0] * width)[sum(e) - e[i]] = c
+        g: list = []
+        for row in rows.values():
+            g = uni.gcd_z(g, uni.strip(row))
+            if g == [1]:
+                break
+        k = math.gcd(*num.values())
+        cont = _from_list(p.context, others.pop() if others else i, [k * c for c in g])
     if cont.is_constant() and abs(cont.constant_value()) == 1:
         return Polynomial.constant(p.context, 1), p
     prim = p.exact_div(cont)

@@ -657,15 +657,20 @@ def _b_factor_rec(F):
     return out + _b_factor_rec(g) + _b_factor_rec(rest)
 
 
-def reference_factor_bivariate(p):
+def reference_factor_bivariate(p, max_degree=4):
     """Irreducible factors with multiplicities for a Polynomial in at most
     two variables of total degree at most 4. Returns a sorted list of
-    (normalized Polynomial, multiplicity) pairs; content is dropped."""
+    (normalized Polynomial, multiplicity) pairs; content is dropped.
+
+    A caller may raise max_degree, but above 4 the search is incomplete:
+    it finds factors g1(y) x + g0(y) with deg g1 <= 1 and deg g0 <= 2, and
+    a leftover of x-degree 2 or more is returned as it is, irreducible or
+    not. Factors of x-degree 1 are irreducible, being primitive in x."""
     ctx = p.context
     if ctx.arity != 2:
         raise ValueError("the reference method expects a two-variable context")
-    if max((sum(e) for e in p.terms), default=0) > 4:
-        raise ValueError("the reference method stops at total degree 4")
+    if max((sum(e) for e in p.terms), default=0) > max_degree:
+        raise ValueError(f"the reference method stops at total degree {max_degree}")
     F = _b_from_terms({(e[0], e[1]): c for e, c in p.terms.items()})
     raw = _b_factor_rec(F)
     check = _b_from_terms({(0, 0): Fraction(1)})

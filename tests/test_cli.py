@@ -205,8 +205,10 @@ class TestJsonReports:
         assert doc["schema_version"] == 2
         assert set(doc) == {
             "schema_version", "input", "jacobian", "kernel", "uv",
-            "v_factors", "units", "verdict", "inverse", "tfae", "stats",
+            "v_factors", "units", "verdict", "inverse", "tfae", "notes", "stats",
         }
+        # v = 1, so bit iii holds without any work, and a note says so
+        assert len(doc["notes"]) == 1 and "bit iii holds" in doc["notes"][0]
         assert doc["input"] == {"p": "x", "q": "y + x^2"}
         assert doc["jacobian"]["is_constant"] is True
         assert doc["jacobian"]["value"] == "1"

@@ -7,9 +7,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from keller import univariate as uni
 from keller.errors import DegreeCapExceeded
 from keller.factor import (
+    _at,
     _certified_squarefree,
+    _lift_pair,
+    _s_mul,
+    _seed,
     _yun,
     absolute_irreducibility,
     factor_bivariate,
@@ -182,6 +187,35 @@ def small_bivariate_products(draw):
     return f
 
 
+FOUR_LOCAL_FACTORS = (
+    "(x*y + 1 + y^2)*(x*y + 1 + y - 2*y^2)*(x*y + 1 + 3*y^2)*(x*y + 1 - 3*y^2)"
+)
+
+
+@st.composite
+def monic_rows(draw):
+    """Integer rows of a polynomial monic in x: rows[i] holds the
+    y-coefficients of x**i, x-degree 1 to 3, y-degree at most 3."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    return rows + [[1]]
+
+
+class TestHenselLift:
+    @given(monic_rows(), monic_rows(), st.integers(1, 9))
+    def test_lifted_rows_multiply_back(self, G, H, m):
+        g0, h0 = [r[0] for r in G], [r[0] for r in H]
+        assume(uni.deg(uni.gcd_z(g0, h0)) == 0)
+        G, H = _at((G, 1), m), _at((H, 1), m)
+        F = _s_mul(G, H, m)
+        s, t = uni._xgcd_q(g0, h0)
+        g, h = _lift_pair(F, *map(_seed, (g0, h0, s, t)), m)
+        assert _s_mul(g, h, m) == F
+        # a monic lift of coprime images is unique
+        assert (g, h) == (G, H)
+
+
 class TestFactorBivariate:
     @pytest.mark.parametrize(
         "f,content,factors",
@@ -204,10 +238,7 @@ class TestFactorBivariate:
             # 8, 16, 21); two local factors on each side mean a wrongly
             # lifted half cannot be rescued by taking the remainder
             pytest.param(
-                xy(
-                    "(x*y + 1 + y^2)*(x*y + 1 + y - 2*y^2)"
-                    "*(x*y + 1 + 3*y^2)*(x*y + 1 - 3*y^2)"
-                ),
+                xy(FOUR_LOCAL_FACTORS),
                 1,
                 (
                     (xy("x*y + 1 + 3*y^2"), 1),
@@ -224,6 +255,14 @@ class TestFactorBivariate:
         assert fact.content == content
         assert fact.factors == factors
         assert fact.product_in(f.context) == f
+
+    def test_four_local_factors_match_reference(self):
+        f = xy(FOUR_LOCAL_FACTORS)
+        want = reference_factor_bivariate(f, max_degree=8)
+        # above degree 4 the reference is complete only for factors linear
+        # in x, and this input splits into four of them
+        assert [g.degree_in("x") for g, _ in want] == [1, 1, 1, 1]
+        assert list(factor_bivariate(f).factors) == want
 
     def test_degree_one_in_y_is_irreducible(self):
         fact = factor_bivariate(xy("x^2 - y"))

@@ -58,6 +58,21 @@ class TestBasics:
         assert parse_poly("2^3", XY) == Polynomial.constant(XY, 8)
         assert parse_poly("x^0", XY) == Polynomial.constant(XY, 1)
 
+    @pytest.mark.parametrize(
+        "text, build",
+        [
+            ("x*x*y^2*x", lambda: X * X * Y**2 * X),
+            ("0*x*y", lambda: Polynomial.constant(XY, 0) * X * Y),
+            ("2*3*x", lambda: Polynomial.constant(XY, 2) * Polynomial.constant(XY, 3) * X),
+            ("x*(y + 1)", lambda: X * (Y + Polynomial.constant(XY, 1))),
+            ("-3/4*x^0*y^2*1/2", lambda: Polynomial.constant(XY, Fraction(-3, 8)) * Y**2),
+        ],
+    )
+    def test_products_match_polynomial_arithmetic(self, text, build):
+        # a product of constants and powers of variables is built as one
+        # term; any other product multiplies Polynomials
+        assert parse_poly(text, XY) == build()
+
     def test_slash_is_not_division(self):
         # '/' only builds rational literals, so x/2 is a syntax error
         with pytest.raises(ParseError):

@@ -64,6 +64,17 @@ class TestClassifyVerdicts:
         # the conclusion must stay gated: evidence is informational only
         assert report.tfae is None
         assert any("informational" in note for note in report.notes)
+        # v = u1 is not constant: the units route did real work
+        assert not any("bit iii holds without any work" in n for n in report.notes)
+
+    def test_constant_v_note_on_an_automorphism(self):
+        report = classify(Endomorphism(X, Y + X**2))
+        assert report.uv.v.is_constant()
+        assert report.units.witnesses == ()
+        (note,) = [n for n in report.notes if "bit iii" in n]
+        assert "holds without any work" in note
+        assert "Q[p, q]" in note and "C(p, q)" in note
+        assert "cannot change a verdict on a Keller map" in note
 
     def test_identity(self):
         report = classify(identity_map())

@@ -739,6 +739,29 @@ def coprime(F, G):
     return False
 
 
+class TestVarContent:
+    @pytest.mark.parametrize(
+        "ctx, text, i, cont, prim, two_variable_route",
+        [
+            # coefficients in y alone: one gcd_z fold, integer content kept
+            (XY, "6*x^2*y + 4*y", 0, "2*y", "3*x^2 + 2", False),
+            (XY, "-x^2*y^2 + x*y", 0, "y", "x^2*y - x", False),
+            (XY, "3*x^2 - 5", 0, "1", "3*x^2 - 5", False),
+            # coefficients in u2 and u3 take _gcd_many
+            (U123, "(u2*u3 + 1)*(u1^2*u3 + u2)", 0, "u2*u3 + 1", "u1^2*u3 + u2", True),
+            (U123, "u1*u2*u3 + u2*u3", 0, "u2*u3", "u1 + 1", True),
+        ],
+    )
+    def test_split(self, ctx, text, i, cont, prim, two_variable_route):
+        p = parse_poly(text, ctx)
+        with mock.patch.object(poly, "_gcd_many", wraps=poly._gcd_many) as spy:
+            c, q = poly._split_var_content(p, i)
+        assert spy.called == two_variable_route
+        assert c * q == p
+        # the integer content goes to the content, the sign to either part
+        assert c in (parse_poly(cont, ctx), -parse_poly(cont, ctx))
+
+
 class TestHeuristicGcd:
     @given(planted_gcd_pairs())
     def test_matches_oracle(self, pair):
