@@ -31,6 +31,7 @@ from .errors import (
 from .factor import factor_bivariate, localization_units_check
 from .funcfield import uv_decomposition
 from .groebner import (
+    DEFAULT_MAX_COEFF_BITS,
     DEFAULT_MAX_DEGREE,
     DEFAULT_MAX_SPAIRS,
     GREVLEX,
@@ -91,7 +92,11 @@ def _run_stats(args) -> RunStats:
             spair_budget = DEFAULT_MAX_SPAIRS if raw is None else _budget(raw)
         except argparse.ArgumentTypeError as exc:
             raise UsageError(f"KELLER_MAX_SPAIRS {exc}") from None
-    return RunStats(spair_budget=spair_budget, degree_budget=args.max_degree)
+    return RunStats(
+        spair_budget=spair_budget,
+        degree_budget=args.max_degree,
+        coeff_budget=args.max_coeff_bits,
+    )
 
 
 def _parse_map(p_text: str, q_text: str) -> Endomorphism:
@@ -186,6 +191,8 @@ def _report_doc(f: Endomorphism, report: ClassificationReport) -> dict:
         }
     if report.degenerate_reason:
         doc["reason"] = report.degenerate_reason
+    if report.refused:
+        doc["refused"] = True
     if report.notes:
         doc["notes"] = list(report.notes)
     return doc
@@ -249,7 +256,7 @@ def _cmd_check(args) -> int:
     _print_report(f, report)
     if args.json:
         _write_json(args.json, _report_doc(f, report))
-    return 1 if report.verdict is Verdict.DEGENERATE else 0
+    return 1 if report.verdict is Verdict.DEGENERATE or report.refused else 0
 
 
 def _cmd_check_batch(args) -> int:
@@ -281,7 +288,7 @@ def _cmd_check_batch(args) -> int:
         )
         print(f"[{index}] {f.p} ; {f.q} -> {report.verdict.value}")
         docs.append(_report_doc(f, report))
-        if report.verdict is Verdict.DEGENERATE:
+        if report.verdict is Verdict.DEGENERATE or report.refused:
             worst = max(worst, 1)
         index += 1
     if args.json:
@@ -542,6 +549,8 @@ def _add_shared(sub) -> None:
                      help="S-pair budget of each basis computation")
     sub.add_argument("--max-degree", type=_budget, default=DEFAULT_MAX_DEGREE,
                      help="intermediate degree cap for basis computations")
+    sub.add_argument("--max-coeff-bits", type=_budget, default=DEFAULT_MAX_COEFF_BITS,
+                     help="coefficient size cap in bits for basis computations")
 
 
 def build_parser() -> argparse.ArgumentParser:

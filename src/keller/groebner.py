@@ -1,16 +1,55 @@
-"""Groebner bases over Q with an integer fraction-free core.
+"""Groebner bases over Q on packed integer rows.
 
-The engine works on primitive integer term maps: reductions scale the
+The engine works on primitive integer rows: reductions scale the
 polynomial being reduced instead of dividing, so no Fraction arithmetic
 happens in the hot loop. Public results are converted back to canonical
 `Polynomial` values. Reduced bases are deterministic: elements are
 canonically normalized and sorted by their leading monomial, so two runs
 over shuffled generators produce identical output.
 
+Every monomial of a row is one packed integer key. ``MonomialOrder.fields``
+maps an exponent tuple to n order fields, whose tuple comparison is the
+order: lex, the exponents; grevlex, (d, x1 + ... + x(n-1), ..., x1) with d
+the total degree; block(k), the grevlex fields of e[:k], then those of
+e[k:]. A key holds, from the top, the n order fields, then the n plain
+exponents, then the total degree, each in a field of w bits whose top bit,
+the guard, is zero in every key. Each field is a sum of exponents, so a key
+is linear in the exponents, and adding two keys multiplies their monomials
+as long as no field reaches its guard bit. Integer order on keys is the
+monomial order: the order fields decide, and they fix the monomial, so the
+plain exponents and the degree below them never break a tie. With G the
+key of all guard bits, the monomial of a divides that of k exactly when
+((k | G) - a) & G == G: each field computes k_f + 2**(w-1) - a_f, which
+keeps its guard bit exactly when k_f >= a_f and never borrows from the
+field above; on the plain exponents that is divisibility, and the other
+fields, being sums of exponents, follow. That difference minus G is the
+key of the quotient, and ``key & mask`` is the degree.
+
+Field width. Let B be the larger of the degree budget and the degree of
+every input of the computation. Every field of a key is at most the total
+degree of its monomial, and no key ever formed exceeds degree 3B:
+
+* every row term has degree at most B. Inputs do, by the choice of B; a
+  reduction refuses any term it creates above the budget, and
+  ``_buchberger_rows`` refuses a new basis element with a term above B
+  (an S-polynomial term that no leading term divides passes a reduction
+  unchanged);
+* the lcm L of two leading terms has degree at most 2B, and an
+  S-polynomial term t * L / lt_i has degree at most 2B, because L / lt_i
+  divides lt_j;
+* so every term waiting in a reduction has degree at most 2B, and one
+  step forms m * e / lt from a row term m and a waiting term e, of
+  degree at most B + 2B before the degree check.
+
+So fields of bit_length(3B) bits plus the guard never overflow, and one
+layout serves a whole basis computation.
+
 Resource use is capped by the budgets in ``RunStats``: a basis
 computation raises ResourceCapExceeded when it processes more S-pairs than
-``spair_budget``, counted from its own start, and a reduction raises it when
-it creates a term of total degree above ``degree_budget``.
+``spair_budget``, counted from its own start; a reduction raises it when
+it creates a term of total degree above ``degree_budget``; and a new basis
+element or a reduction in progress raises it when a coefficient is longer
+than ``coeff_budget`` bits.
 """
 
 from __future__ import annotations
@@ -20,7 +59,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Iterable, Iterator, List, Optional, Sequence
 
@@ -31,19 +70,22 @@ from .errors import (
     ZeroKernelError,
 )
 from .linalg import solve_sparse
-from .poly import U12, U123, Endomorphism, Polynomial, VarContext
+from .poly import U12, U123, Endomorphism, Polynomial, VarContext, _cleared
 
 DEFAULT_MAX_SPAIRS = 50_000
 DEFAULT_MAX_DEGREE = 60
+DEFAULT_MAX_COEFF_BITS = 4096
 
 
 @dataclass
 class RunStats:
     """The budgets a run may spend and counters of the work it performed.
 
-    ``spair_budget`` caps the S-pairs of each basis computation and
-    ``degree_budget`` the total degree of any term a reduction creates; the
-    counters sum over every computation charged to this object.
+    ``spair_budget`` caps the S-pairs of each basis computation,
+    ``degree_budget`` the total degree of any term a reduction creates and
+    ``coeff_budget`` the bit length of any integer coefficient of a basis
+    element or a reduction; the counters sum over every computation charged
+    to this object.
     """
 
     spairs: int = 0
@@ -51,10 +93,19 @@ class RunStats:
     millis: int = 0
     spair_budget: int = DEFAULT_MAX_SPAIRS
     degree_budget: int = DEFAULT_MAX_DEGREE
+    coeff_budget: int = DEFAULT_MAX_COEFF_BITS
 
     def note_degree(self, d: int) -> None:
         if d > self.max_degree:
             self.max_degree = d
+
+    def check_coeffs(self, coeffs: Iterable[int]) -> None:
+        """Raise ResourceCapExceeded if an integer is over the bit budget."""
+        bits = max(map(int.bit_length, coeffs), default=0)
+        if bits > self.coeff_budget:
+            raise ResourceCapExceeded(
+                f"a {bits}-bit coefficient exceeds the cap of {self.coeff_budget} bits"
+            )
 
     def merge(self, other: "RunStats") -> None:
         self.spairs += other.spairs
@@ -69,6 +120,16 @@ class RunStats:
             yield
         finally:
             self.millis += int((perf_counter() - start) * 1000)
+
+
+def _grevlex_fields(e: tuple) -> tuple:
+    """(d, x1 + ... + x(n-1), ..., x1): the partial sums, longest first."""
+    out = []
+    s = 0
+    for x in e:
+        s += x
+        out.append(s)
+    return tuple(reversed(out))
 
 
 @dataclass(frozen=True)
@@ -91,15 +152,23 @@ class MonomialOrder:
         if self.kind != "block" and self.k:
             raise ValueError("only block orders take a block width")
 
+    def fields(self, e: tuple) -> tuple:
+        """The order fields of an exponent tuple; comparing them is the order.
+
+        lex: the exponents; grevlex: (d, x1 + ... + x(n-1), ..., x1);
+        block(k): the grevlex fields of e[:k], then those of e[k:].
+        """
+        if self.kind == "lex":
+            return tuple(e)
+        if self.kind == "grevlex":
+            return _grevlex_fields(e)
+        return _grevlex_fields(e[: self.k]) + _grevlex_fields(e[self.k :])
+
     def key_func(self, arity: int):
+        """The sort key of exponent tuples of the given arity: ``fields``."""
         if self.kind == "block" and self.k >= arity:
             raise ValueError(f"block width {self.k} must be below arity {arity}")
-        if self.kind == "lex":
-            return lambda e: e
-        if self.kind == "grevlex":
-            return _grevlex_key
-        k = self.k
-        return lambda e: (_grevlex_key(e[:k]), _grevlex_key(e[k:]))
+        return self.fields
 
 
 LEX = MonomialOrder("lex")
@@ -108,10 +177,6 @@ GREVLEX = MonomialOrder("grevlex")
 
 def block_order(k: int) -> MonomialOrder:
     return MonomialOrder("block", k)
-
-
-def _grevlex_key(e: tuple):
-    return (sum(e), tuple(-x for x in reversed(e)))
 
 
 @dataclass(frozen=True)
@@ -132,22 +197,65 @@ class Ideal:
         object.__setattr__(self, "generators", tuple(gens))
 
 
-# -- integer fraction-free engine ------------------------------------------
+# -- integer fraction-free engine on packed keys ----------------------------
 #
-# A "row" is (terms, lt_exp, lt_coeff) with integer coefficients, primitive,
-# and lt_coeff > 0 under the active order.
+# A "row" is (lead, lc, tail): the packed key of the leading monomial, its
+# coefficient, positive, and a list of (key, coefficient) pairs for the
+# other terms, all integers with no common factor. A "layout" is
+# (weights, shifts, mask, guard): the key of each variable, so that the key
+# of e is sum(e_i * weights[i]); the bit offset of each plain exponent
+# field; the field mask; and the guard bits. Fields are ordered as in the
+# module docstring and sized for 3B.
 
 
-def _int_terms(p: Polynomial) -> dict:
-    prim = p.normalized()
-    return {e: c.numerator for e, c in prim.terms.items()}
+@lru_cache(maxsize=16)
+def _key_layout(order: MonomialOrder, arity: int, bound: int) -> tuple:
+    w = (3 * max(bound, 1)).bit_length() + 1
+    fields = order.key_func(arity)
+    # from the top: n order fields, n plain exponents, the total degree
+    top = 2 * arity
+    weights = []
+    for i in range(arity):
+        unit = tuple(int(j == i) for j in range(arity))
+        k = 1 + (1 << w * (top - arity - i))
+        for j, f in enumerate(fields(unit)):
+            k += f << w * (top - j)
+        weights.append(k)
+    shifts = tuple(w * (top - arity - i) for i in range(arity))
+    guard = sum(1 << w * j + w - 1 for j in range(top + 1))
+    return tuple(weights), shifts, (1 << w) - 1, guard
 
 
-def _row(terms: dict, keyf) -> tuple:
-    lt = max(terms, key=keyf)
-    if terms[lt] < 0:
-        terms = {e: -c for e, c in terms.items()}
-    return (terms, lt, terms[lt])
+def _key(e: tuple, weights: tuple) -> int:
+    return sum([x * k for x, k in zip(e, weights)])
+
+
+def _exponents(key: int, layout: tuple) -> tuple:
+    _, shifts, mask, _ = layout
+    return tuple([key >> s & mask for s in shifts])
+
+
+def _int_terms(p: Polynomial, weights: tuple):
+    """(terms, content): p == content * terms, terms a primitive integer
+    term map on packed keys."""
+    nums, den = _cleared(p.terms)
+    g = math.gcd(*nums.values())
+    return {_key(e, weights): c // g for e, c in nums.items()}, Fraction(g, den)
+
+
+def _row(terms: dict) -> tuple:
+    lead = max(terms)
+    lc = terms[lead]
+    if lc < 0:
+        return lead, -lc, [(k, -c) for k, c in terms.items() if k != lead]
+    return lead, lc, [(k, c) for k, c in terms.items() if k != lead]
+
+
+def _row_terms(row: tuple) -> dict:
+    lead, lc, tail = row
+    terms = dict(tail)
+    terms[lead] = lc
+    return terms
 
 
 def _content_strip(d: dict) -> int:
@@ -162,36 +270,39 @@ def _content_strip(d: dict) -> int:
     return g
 
 
-def _reduce_int(terms: dict, rows: Sequence[tuple], keyf, stats: RunStats):
+def _reduce_int(terms: dict, rows: Sequence[tuple], layout: tuple, stats: RunStats):
     """Fully reduce an integer term map against rows.
 
     Returns (reduced_terms, multiplier) with
     multiplier * input == reduced + (ideal member); multiplier is a
-    positive Fraction.
+    positive Fraction. The next term is popped from a max-heap of keys;
+    a key cancelled while waiting stays in the heap and is skipped when
+    popped, and a key enters the heap only when it enters ``work``.
     """
     budget = stats.degree_budget
+    _, _, mask, guard = layout
     work = dict(terms)
+    heap = [-k for k in work]
+    heapify(heap)
     out: dict = {}
     lam_num = 1
     lam_den = 1
     steps = 0
-    while work:
-        e = max(work, key=keyf)
-        c = work.pop(e)
-        red = None
-        for row in rows:
-            lt = row[1]
-            for a, b in zip(e, lt):
-                if a < b:
-                    break
-            else:
-                red = row
+    while heap:
+        e = -heappop(heap)
+        c = work.pop(e, 0)
+        if not c:
+            continue
+        eg = e | guard
+        for rlt, rlc, rtail in rows:
+            shift = eg - rlt
+            if shift & guard == guard:
                 break
-        if red is None:
+        else:
             out[e] = c
             continue
-        rterms, rlt, rlc = red
-        g = math.gcd(abs(c), rlc)
+        shift -= guard
+        g = math.gcd(c, rlc)
         scale = rlc // g
         ratio = c // g
         if scale != 1:
@@ -200,23 +311,25 @@ def _reduce_int(terms: dict, rows: Sequence[tuple], keyf, stats: RunStats):
                 work[k] *= scale
             for k in out:
                 out[k] *= scale
-        shift = tuple(a - b for a, b in zip(e, rlt))
-        for me, mc in rterms.items():
-            if me == rlt:
-                continue
-            ke = tuple(a + b for a, b in zip(me, shift))
-            nv = work.get(ke, 0) - ratio * mc
-            if nv:
-                if ke not in work:
-                    d = sum(ke)
-                    stats.note_degree(d)
-                    if d > budget:
-                        raise ResourceCapExceeded(
-                            f"intermediate degree {d} exceeds the cap {budget}"
-                        )
-                work[ke] = nv
+        for me, mc in rtail:
+            ke = me + shift
+            v = work.get(ke)
+            if v is None:
+                d = ke & mask
+                if d > stats.max_degree:
+                    stats.max_degree = d
+                if d > budget:
+                    raise ResourceCapExceeded(
+                        f"intermediate degree {d} exceeds the cap {budget}"
+                    )
+                work[ke] = -ratio * mc
+                heappush(heap, -ke)
             else:
-                work.pop(ke, None)
+                v -= ratio * mc
+                if v:
+                    work[ke] = v
+                else:
+                    del work[ke]
         steps += 1
         if steps % 32 == 0 and work:
             g2 = 0
@@ -235,23 +348,23 @@ def _reduce_int(terms: dict, rows: Sequence[tuple], keyf, stats: RunStats):
                 for k in out:
                     out[k] //= g2
                 lam_den *= g2
+            stats.check_coeffs(work.values())
+            stats.check_coeffs(out.values())
     return out, Fraction(lam_num, lam_den)
 
 
-def _spoly_int(row_i: tuple, row_j: tuple, lcm_e: tuple) -> dict:
-    ti, lti, ci = row_i
-    tj, ltj, cj = row_j
+def _spoly_int(row_i: tuple, row_j: tuple, lcm: int) -> dict:
+    lti, ci, ti = row_i
+    ltj, cj, tj = row_j
     g = math.gcd(ci, cj)
-    mi = tuple(a - b for a, b in zip(lcm_e, lti))
-    mj = tuple(a - b for a, b in zip(lcm_e, ltj))
+    mi = lcm - lti
+    mj = lcm - ltj
     fi = cj // g
     fj = ci // g
-    out: dict = {}
-    for e, c in ti.items():
-        k = tuple(a + b for a, b in zip(e, mi))
-        out[k] = out.get(k, 0) + fi * c
-    for e, c in tj.items():
-        k = tuple(a + b for a, b in zip(e, mj))
+    # the leading terms cancel
+    out = {e + mi: fi * c for e, c in ti}
+    for e, c in tj:
+        k = e + mj
         v = out.get(k, 0) - fj * c
         if v:
             out[k] = v
@@ -260,21 +373,27 @@ def _spoly_int(row_i: tuple, row_j: tuple, lcm_e: tuple) -> dict:
     return out
 
 
-def _buchberger_rows(gens: List[dict], keyf, stats: RunStats) -> List[tuple]:
+def _buchberger_rows(
+    gens: List[dict], layout: tuple, bound: int, stats: RunStats
+) -> List[tuple]:
+    weights, _, mask, guard = layout
     rows: List[tuple] = []
-    for terms in gens:
-        t = dict(terms)
-        _content_strip(t)
-        rows.append(_row(t, keyf))
+    leads: List[tuple] = []
 
-    def lcm_exp(a: tuple, b: tuple) -> tuple:
-        return tuple(x if x > y else y for x, y in zip(a, b))
+    def add_row(terms: dict) -> None:
+        stats.check_coeffs(terms.values())
+        row = _row(terms)
+        rows.append(row)
+        leads.append(_exponents(row[0], layout))
+
+    for terms in gens:
+        add_row(dict(terms))
 
     heap: list = []
 
     def push_pair(i: int, j: int) -> None:
-        L = lcm_exp(rows[i][1], rows[j][1])
-        heappush(heap, (sum(L), keyf(L), i, j, L))
+        L = _key(tuple(map(max, leads[i], leads[j])), weights)
+        heappush(heap, (L & mask, L, i, j))
 
     for j in range(len(rows)):
         for i in range(j):
@@ -282,19 +401,18 @@ def _buchberger_rows(gens: List[dict], keyf, stats: RunStats) -> List[tuple]:
     done = set()
     spairs = 0
     while heap:
-        _, _, i, j, L = heappop(heap)
+        _, L, i, j = heappop(heap)
         if (i, j) in done:
             continue
         done.add((i, j))
-        lti, ltj = rows[i][1], rows[j][1]
-        if all(x == 0 or y == 0 for x, y in zip(lti, ltj)):
+        if L == rows[i][0] + rows[j][0]:
             continue  # coprime leading terms never yield new information
         skip = False
+        Lg = L | guard
         for k in range(len(rows)):
             if k == i or k == j:
                 continue
-            ltk = rows[k][1]
-            if all(a <= b for a, b in zip(ltk, L)):
+            if (Lg - rows[k][0]) & guard == guard:
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik in done and pjk in done:
@@ -311,48 +429,51 @@ def _buchberger_rows(gens: List[dict], keyf, stats: RunStats) -> List[tuple]:
         s = _spoly_int(rows[i], rows[j], L)
         if not s:
             continue
-        r, _ = _reduce_int(s, rows, keyf, stats)
+        r, _ = _reduce_int(s, rows, layout, stats)
         if not r:
             continue
+        d = max([k & mask for k in r])
+        if d > bound:
+            raise ResourceCapExceeded(
+                f"a basis element of degree {d} exceeds the cap {bound}"
+            )
         _content_strip(r)
-        rows.append(_row(r, keyf))
+        add_row(r)
         new = len(rows) - 1
         for t in range(new):
             push_pair(t, new)
     return rows
 
 
-def _minimalize_rows(rows: List[tuple], keyf) -> List[tuple]:
-    order = sorted(range(len(rows)), key=lambda i: keyf(rows[i][1]))
+def _minimalize_rows(rows: List[tuple], guard: int) -> List[tuple]:
     kept: List[tuple] = []
-    for i in order:
-        lt = rows[i][1]
-        redundant = False
-        for r in kept:
-            klt = r[1]
-            if all(a <= b for a, b in zip(klt, lt)):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(rows[i])
+    for row in sorted(rows, key=lambda row: row[0]):
+        lg = row[0] | guard
+        if all((lg - r[0]) & guard != guard for r in kept):
+            kept.append(row)
     return kept
 
 
-def _interreduce_rows(rows: List[tuple], keyf, stats: RunStats) -> List[tuple]:
+def _interreduce_rows(rows: List[tuple], layout: tuple, stats: RunStats) -> List[tuple]:
     out = list(rows)
     for i in range(len(out)):
         others = out[:i] + out[i + 1 :]
-        r, _ = _reduce_int(dict(out[i][0]), others, keyf, stats)
+        r, _ = _reduce_int(_row_terms(out[i]), others, layout, stats)
         _content_strip(r)
-        out[i] = _row(r, keyf)
-    out.sort(key=lambda row: keyf(row[1]), reverse=True)
+        out[i] = _row(r)
+    out.sort(key=lambda row: row[0], reverse=True)
     return out
 
 
-def _rows_to_polys(context: VarContext, rows: Sequence[tuple]) -> List[Polynomial]:
+def _rows_to_polys(
+    context: VarContext, rows: Sequence[tuple], layout: tuple
+) -> List[Polynomial]:
     return [
-        Polynomial(context, {e: Fraction(c) for e, c in terms.items()})
-        for terms, _, _ in rows
+        Polynomial._raw(
+            context,
+            {_exponents(k, layout): Fraction(c) for k, c in _row_terms(row).items()},
+        )
+        for row in rows
     ]
 
 
@@ -371,14 +492,16 @@ def buchberger(
     if not ideal.generators:
         raise ValueError("the zero ideal has no Groebner basis here")
     stats = stats if stats is not None else RunStats()
-    keyf = order.key_func(ideal.context.arity)
-    gens = [_int_terms(g) for g in ideal.generators]
-    for poly in ideal.generators:
-        stats.note_degree(poly.total_degree())
-    rows = _buchberger_rows(gens, keyf, stats)
-    rows = _minimalize_rows(rows, keyf)
-    rows = _interreduce_rows(rows, keyf, stats)
-    return _rows_to_polys(ideal.context, rows)
+    degrees = [g.total_degree() for g in ideal.generators]
+    for d in degrees:
+        stats.note_degree(d)
+    bound = max(stats.degree_budget, *degrees)
+    layout = _key_layout(order, ideal.context.arity, bound)
+    gens = [_int_terms(g, layout[0])[0] for g in ideal.generators]
+    rows = _buchberger_rows(gens, layout, bound, stats)
+    rows = _minimalize_rows(rows, layout[3])
+    rows = _interreduce_rows(rows, layout, stats)
+    return _rows_to_polys(ideal.context, rows, layout)
 
 
 def normal_form(
@@ -401,13 +524,15 @@ def normal_form(
     for b in basis:
         if b.context != f.context:
             raise ContextMismatchError("normal_form needs one shared context")
-    keyf = order.key_func(f.context.arity)
-    rows = [_row(_int_terms(b), keyf) for b in basis]
-    cont, prim = f.content_and_primitive()
-    terms = {e: c.numerator for e, c in prim.terms.items()}
-    reduced, lam = _reduce_int(terms, rows, keyf, stats)
-    scale = cont / lam
-    rem = Polynomial(f.context, {e: scale * c for e, c in reduced.items()})
+    bound = max(stats.degree_budget, f.total_degree(), *[b.total_degree() for b in basis])
+    layout = _key_layout(order, f.context.arity, bound)
+    rows = [_row(_int_terms(b, layout[0])[0]) for b in basis]
+    terms, content = _int_terms(f, layout[0])
+    reduced, lam = _reduce_int(terms, rows, layout, stats)
+    scale = content / lam
+    rem = Polynomial._raw(
+        f.context, {_exponents(k, layout): scale * c for k, c in reduced.items()}
+    )
     return rem, rem != f
 
 
@@ -486,13 +611,19 @@ _TAG_CTX = VarContext(("y", "x", "u1", "u2"))
 
 
 @lru_cache(maxsize=128)
-def _tag_basis(f: Endomorphism, spair_budget: int, degree_budget: int):
+def _tag_basis(
+    f: Endomorphism, spair_budget: int, degree_budget: int, coeff_budget: int
+):
     """Reduced lex basis of the tag ideal (u1 - p, u2 - q).
 
     Pure lex with y > x > u1 > u2 eliminates the plane variables, so
     elements with u-only leading terms are u-only polynomials.
     """
-    stats = RunStats(spair_budget=spair_budget, degree_budget=degree_budget)
+    stats = RunStats(
+        spair_budget=spair_budget,
+        degree_budget=degree_budget,
+        coeff_budget=coeff_budget,
+    )
     xname, yname = f.context.names
     u1 = Polynomial.variable(_TAG_CTX, "u1")
     u2 = Polynomial.variable(_TAG_CTX, "u2")
@@ -508,7 +639,9 @@ def _cached_tag_basis(f: Endomorphism, stats: RunStats):
     Buchberger work to ``stats`` only when this call computed it; a cache hit
     did no S-pair work."""
     misses = _tag_basis.cache_info().misses
-    basis, basis_stats = _tag_basis(f, stats.spair_budget, stats.degree_budget)
+    basis, basis_stats = _tag_basis(
+        f, stats.spair_budget, stats.degree_budget, stats.coeff_budget
+    )
     if _tag_basis.cache_info().misses != misses:
         stats.merge(basis_stats)
     return basis

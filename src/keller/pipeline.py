@@ -92,6 +92,8 @@ class ClassificationReport:
     inverse: Optional[Tuple[Polynomial, Polynomial]] = None
     tfae: Optional[TfaeReport] = None
     degenerate_reason: Optional[str] = None
+    # a budget stopped a stage, so the evidence is incomplete
+    refused: bool = False
     notes: Tuple[str, ...] = ()
     stats: RunStats = field(default_factory=RunStats)
 
@@ -217,11 +219,12 @@ def _classify(
             return report
         notes.append(_GATE_NOTE)
 
-    def degenerate(reason: str) -> ClassificationReport:
+    def degenerate(exc: Exception) -> ClassificationReport:
+        report.refused = isinstance(exc, (ResourceCapExceeded, DegreeCapExceeded))
         if keller:
-            report.degenerate_reason = reason
+            report.degenerate_reason = str(exc)
         else:
-            notes.append(f"evidence stopped early: {reason}")
+            notes.append(f"evidence stopped early: {exc}")
         report.notes = tuple(notes)
         return report
 
@@ -233,13 +236,13 @@ def _classify(
         ResourceCapExceeded,
         DegreeCapExceeded,
     ) as exc:
-        return degenerate(str(exc))
+        return degenerate(exc)
     report.kernel = kernel
 
     try:
         uv = uv_decomposition(f, kernel=kernel, stats=stats)
     except (NotShapePositionError, ResourceCapExceeded, DegreeCapExceeded) as exc:
-        return degenerate(str(exc))
+        return degenerate(exc)
     report.uv = uv
 
     try:
@@ -259,7 +262,7 @@ def _classify(
         )
         report.units = units
     except (ResourceCapExceeded, DegreeCapExceeded) as exc:
-        return degenerate(str(exc))
+        return degenerate(exc)
 
     all_preserved = all(r.preserved for r in report.v_reports)
     if units.all_units_in_Cpq != all_preserved:

@@ -532,14 +532,17 @@ class Polynomial:
         for c in self.terms.values():
             num_gcd = math.gcd(num_gcd, c.numerator)
             den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
         if self.terms[max(self.terms)] < 0:
-            content = -content
-        inv = 1 / content
+            num_gcd = -num_gcd
+        # c / content = n * (den_lcm / d) / num_gcd, an exact integer
         prim = Polynomial._raw(
-            self.context, {e: c * inv for e, c in self.terms.items()}
+            self.context,
+            {
+                e: Fraction(c.numerator * (den_lcm // c.denominator) // num_gcd)
+                for e, c in self.terms.items()
+            },
         )
-        return content, prim
+        return Fraction(num_gcd, den_lcm), prim
 
     def normalized(self) -> "Polynomial":
         """Canonical unit normalization (primitive, positive lex lead)."""

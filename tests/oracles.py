@@ -39,6 +39,39 @@ def reference_substitute(p, images):
     return Polynomial(target, out)
 
 
+# -- reference monomial orders ------------------------------------------------
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _reference_grevlex(a, b):
+    """Higher total degree wins; at equal degree, the monomial with the
+    smaller exponent at the last place where they differ wins."""
+    if sum(a) != sum(b):
+        return _sign(sum(a) - sum(b))
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return _sign(y - x)
+    return 0
+
+
+def reference_compare(a, b, order):
+    """-1, 0 or 1 as exponent tuple a is below, equal to or above b, read
+    off the textbook definitions of lex, grevlex and block(k) (grevlex on
+    the first k variables, ties broken grevlex on the rest)."""
+    if order.kind == "lex":
+        for x, y in zip(a, b):
+            if x != y:
+                return _sign(x - y)
+        return 0
+    if order.kind == "grevlex":
+        return _reference_grevlex(a, b)
+    k = order.k
+    return _reference_grevlex(a[:k], b[:k]) or _reference_grevlex(a[k:], b[k:])
+
+
 # -- reference Groebner reduction ---------------------------------------------
 
 

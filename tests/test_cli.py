@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,13 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# non-Keller maps whose lex tag basis has ever-growing coefficients
+_STALL_MAPS = [
+    ("3*y^3 + y^2 - x^2 - x^2*y^2", "y^3 + 1/2*x^2*y + 1/2*x*y^2 + 2*x^3*y"),
+    ("x + x*y^2 + 3*x^3*y", "-y^3 + 1/2*x*y^2"),
+]
 
 
 class TestExitCodes:
@@ -55,6 +63,22 @@ class TestExitCodes:
         assert code == 1
         assert "verdict = Degenerate" in out
         assert "reason:" in out
+
+    @pytest.mark.parametrize("stall", _STALL_MAPS, ids=["stall-1", "stall-2"])
+    @pytest.mark.parametrize(
+        "verb", [["uv"], ["member", "-w", "x"], ["check", "--force"]],
+        ids=["uv", "member", "check-force"],
+    )
+    def test_coefficient_cap_refusal_is_one(self, capsys, stall, verb):
+        # without the coefficient budget the lex tag basis of these maps
+        # runs for minutes: its coefficients grow past 50,000 bits while
+        # neither the S-pair nor the degree budget refuses
+        p, q = stall
+        start = time.perf_counter()
+        code, out, err = run(capsys, verb + ["-p", p, "-q", q])
+        assert time.perf_counter() - start < 30
+        assert code == 1
+        assert "coefficient exceeds the cap of 4096 bits" in err + out
 
     def test_parse_error_is_two(self, capsys):
         code, _, err = run(capsys, ["check", "-p", "x$", "-q", "y"])
@@ -219,6 +243,16 @@ class TestJsonReports:
         assert doc["tfae"] == {"i": True, "ii": True, "iii": True, "consistent": True}
         assert set(doc["stats"]) == {"spairs", "max_degree", "millis"}
 
+    def test_budget_stopping_forced_evidence_is_marked(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        p, q = _STALL_MAPS[0]
+        code, _, _ = run(capsys, ["check", "--force", "-p", p, "-q", q, "--json", str(path)])
+        assert code == 1
+        doc = json.loads(path.read_text())
+        assert doc["verdict"] == "NotKellerNonConstantJacobian"
+        assert doc["refused"] is True
+        assert doc["kernel"] is not None and doc["uv"] is None
+
     def test_non_keller_has_null_sections(self, capsys, tmp_path):
         path = tmp_path / "r.json"
         run(capsys, ["check", "-p", "x^2", "-q", "y", "--json", str(path)])
@@ -351,7 +385,7 @@ class TestEnvironment:
         assert out == ""
         assert "KELLER_MAX_SPAIRS" in err
 
-    @pytest.mark.parametrize("flag", ["--max-spairs", "--max-degree"])
+    @pytest.mark.parametrize("flag", ["--max-spairs", "--max-degree", "--max-coeff-bits"])
     def test_negative_budget_flag_is_usage_error(self, capsys, flag):
         code, out, err = run(capsys, ["check", "-p", "x", "-q", "y + x^2", flag, "-1"])
         assert code == 2

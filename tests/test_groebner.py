@@ -12,12 +12,16 @@ from keller.errors import (
     ResourceCapExceeded,
 )
 from keller.groebner import (
+    DEFAULT_MAX_COEFF_BITS,
     DEFAULT_MAX_DEGREE,
     DEFAULT_MAX_SPAIRS,
     GREVLEX,
     LEX,
     _TAG_CTX,
     Ideal,
+    _exponents,
+    _key,
+    _key_layout,
     MonomialOrder,
     RunStats,
     _tag_basis,
@@ -32,7 +36,7 @@ from keller.funcfield import shape_basis
 from keller.poly import U12, U123, XY, Endomorphism, Polynomial, VarContext
 from keller.tame import random_tame
 
-from oracles import is_groebner_basis, reference_normal_form
+from oracles import is_groebner_basis, reference_compare, reference_normal_form
 
 X = Polynomial.variable(XY, "x")
 Y = Polynomial.variable(XY, "y")
@@ -83,6 +87,73 @@ class TestMonomialOrders:
             MonomialOrder("block")
         with pytest.raises(ValueError):
             block_order(2).key_func(2)
+
+
+@st.composite
+def keyed_monomials(draw):
+    """An arity from 2 to 4, an order on it, a degree bound B, the packed key
+    layout for B and two exponent tuples of total degree at most 3B."""
+    n = draw(st.integers(2, 4))
+    order = draw(st.sampled_from([LEX, GREVLEX] + [block_order(k) for k in range(1, n)]))
+    bound = draw(st.integers(1, 70))
+
+    def exps():
+        d = draw(st.integers(0, 3 * bound))
+        cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+        return tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+
+    return order, bound, _key_layout(order, n, bound), exps(), exps()
+
+
+class TestPackedKeys:
+    @given(keyed_monomials())
+    def test_integer_order_is_the_monomial_order(self, case):
+        order, _, (weights, _, _, _), a, b = case
+        ka, kb = _key(a, weights), _key(b, weights)
+        assert (ka > kb) - (ka < kb) == reference_compare(a, b, order)
+
+    @given(keyed_monomials())
+    def test_guard_bits_decide_divisibility(self, case):
+        _, _, (weights, _, _, guard), a, k = case
+        diff = (_key(k, weights) | guard) - _key(a, weights)
+        divides = all(x <= y for x, y in zip(a, k))
+        assert (diff & guard == guard) == divides
+        if divides:
+            assert diff - guard == _key(tuple(y - x for x, y in zip(a, k)), weights)
+
+    @given(keyed_monomials())
+    def test_keys_round_trip_at_three_times_the_bound(self, case):
+        _, bound, layout, a, b = case
+        weights, _, mask, guard = layout
+        n = len(a)
+        edges = [tuple(3 * bound * (j == i) for j in range(n)) for i in range(n)]
+        for e in [a, b] + edges:
+            k = _key(e, weights)
+            assert _exponents(k, layout) == e
+            assert k & mask == sum(e)
+            assert k & guard == 0
+        if sum(a) + sum(b) <= 3 * bound:
+            ab = tuple(x + y for x, y in zip(a, b))
+            assert _key(a, weights) + _key(b, weights) == _key(ab, weights)
+
+    def test_lex_term_at_the_degree_budget_survives(self):
+        # the basis needs y^25: fields sized for B = 25 hold it, and one
+        # degree less refuses the reduction that creates it
+        gens = [X**5 - Y, Y**5 - X]
+        stats = RunStats(degree_budget=25)
+        assert buchberger(Ideal(XY, gens), LEX, stats=stats) == [X - Y**5, Y**25 - Y]
+        assert stats.max_degree == 25
+        with pytest.raises(ResourceCapExceeded, match="degree 25 exceeds the cap 24"):
+            buchberger(Ideal(XY, gens), LEX, stats=RunStats(degree_budget=24))
+
+    def test_basis_elements_stay_within_the_degree_budget(self):
+        # y^8 comes from an S-polynomial term that no leading term divides,
+        # so no reduction step creates it; the new basis element is refused
+        gens = [X**3 - Y**2, X * Y**2 - ONE]
+        stats = RunStats(degree_budget=8)
+        assert buchberger(Ideal(XY, gens), LEX, stats=stats) == [X - Y**6, Y**8 - ONE]
+        with pytest.raises(ResourceCapExceeded, match="basis element of degree 8"):
+            buchberger(Ideal(XY, gens), LEX, stats=RunStats(degree_budget=7))
 
 
 class TestBuchberger:
@@ -201,6 +272,21 @@ class TestBudgets:
         clear_caches()
         with pytest.raises(ResourceCapExceeded):
             shape_basis(f, stats=RunStats(spair_budget=need.spairs - 1))
+
+    def test_coefficient_budget_is_the_same_in_every_basis(self):
+        # 3 is the largest coefficient of every input below: 2 bits
+        f = Endomorphism(X, Y + 3 * X**2)
+        runs = [
+            lambda stats: kernel_generator(f, stats=stats),
+            lambda stats: shape_basis(f, stats=stats),
+            lambda stats: buchberger(Ideal(XY, [X**2 - 3 * Y, X * Y - ONE]), GREVLEX, stats=stats),
+        ]
+        for compute in runs:
+            clear_caches()
+            with pytest.raises(ResourceCapExceeded, match="2-bit coefficient exceeds the cap of 1 bits"):
+                compute(RunStats(coeff_budget=1))
+            clear_caches()
+            compute(RunStats(coeff_budget=2))
 
     def test_merge_keeps_the_budgets(self):
         stats = RunStats(spair_budget=7, degree_budget=9)
@@ -393,7 +479,9 @@ class TestSubringMembership:
         # by hand to get the normal-form route's answer
         f = Endomorphism(X, Y + X**2)
         G_fast = subring_membership(Y, f)
-        basis, _ = _tag_basis(f, DEFAULT_MAX_SPAIRS, DEFAULT_MAX_DEGREE)
+        basis, _ = _tag_basis(
+            f, DEFAULT_MAX_SPAIRS, DEFAULT_MAX_DEGREE, DEFAULT_MAX_COEFF_BITS
+        )
         rem, _ = normal_form(Y.reindex(_TAG_CTX), basis, LEX)
         assert not any(e[0] or e[1] for e in rem.terms)
         assert G_fast == rem.reindex(U12)
