@@ -31,7 +31,6 @@ from .errors import (
 from .factor import factor_bivariate, localization_units_check
 from .funcfield import uv_decomposition
 from .groebner import (
-    DEFAULT_MAX_COEFF_BITS,
     DEFAULT_MAX_DEGREE,
     DEFAULT_MAX_SPAIRS,
     GREVLEX,
@@ -92,11 +91,7 @@ def _run_stats(args) -> RunStats:
             spair_budget = DEFAULT_MAX_SPAIRS if raw is None else _budget(raw)
         except argparse.ArgumentTypeError as exc:
             raise UsageError(f"KELLER_MAX_SPAIRS {exc}") from None
-    return RunStats(
-        spair_budget=spair_budget,
-        degree_budget=args.max_degree,
-        coeff_budget=args.max_coeff_bits,
-    )
+    return RunStats(spair_budget=spair_budget, degree_budget=args.max_degree)
 
 
 def _parse_map(p_text: str, q_text: str) -> Endomorphism:
@@ -549,8 +544,6 @@ def _add_shared(sub) -> None:
                      help="S-pair budget of each basis computation")
     sub.add_argument("--max-degree", type=_budget, default=DEFAULT_MAX_DEGREE,
                      help="intermediate degree cap for basis computations")
-    sub.add_argument("--max-coeff-bits", type=_budget, default=DEFAULT_MAX_COEFF_BITS,
-                     help="coefficient size cap in bits for basis computations")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,31 +25,35 @@ field above; on the plain exponents that is divisibility, and the other
 fields, being sums of exponents, follow. That difference minus G is the
 key of the quotient, and ``key & mask`` is the degree.
 
-Field width. Let B be the larger of the degree budget and the degree of
-every input of the computation. Every field of a key is at most the total
-degree of its monomial, and no key ever formed exceeds degree 3B:
+Field width. Let B be the larger of the degree budget, the degree of every
+input of the computation and the degree of every basis element formed so
+far. Every field of a key is at most the total degree of its monomial, and
+no key ever formed exceeds degree 3B:
 
-* every row term has degree at most B. Inputs do, by the choice of B; a
-  reduction refuses any term it creates above the budget, and
-  ``_buchberger_rows`` refuses a new basis element with a term above B
-  (an S-polynomial term that no leading term divides passes a reduction
-  unchanged);
+* every row term has degree at most B, by the choice of B;
 * the lcm L of two leading terms has degree at most 2B, and an
   S-polynomial term t * L / lt_i has degree at most 2B, because L / lt_i
   divides lt_j;
-* so every term waiting in a reduction has degree at most 2B, and one
-  step forms m * e / lt from a row term m and a waiting term e, of
-  degree at most B + 2B before the degree check.
+* a reduction refuses any term it creates above the degree budget, so
+  every term waiting in a reduction has degree at most 2B, and one step
+  forms m * e / lt from a row term m and a waiting term e, of degree at
+  most B + 2B before the degree check;
+* so a new basis element has degree at most 2B (an S-polynomial term that
+  no leading term divides passes a reduction unchanged) and its keys are
+  exact in the current layout. When it exceeds B, B grows to its degree
+  and ``_buchberger_rows`` re-keys the rows and the pending pairs for the
+  new B before anything else is formed; integer order is the monomial
+  order in both layouts, so the pair queue keeps its order.
 
-So fields of bit_length(3B) bits plus the guard never overflow, and one
-layout serves a whole basis computation.
+So fields of bit_length(3B) bits plus the guard never overflow.
 
 Resource use is capped by the budgets in ``RunStats``: a basis
 computation raises ResourceCapExceeded when it processes more S-pairs than
-``spair_budget``, counted from its own start; a reduction raises it when
-it creates a term of total degree above ``degree_budget``; and a new basis
-element or a reduction in progress raises it when a coefficient is longer
-than ``coeff_budget`` bits.
+``spair_budget``, counted from its own start, and a reduction raises it
+when it creates a term of total degree above ``degree_budget``. A basis
+computation also raises it when a new basis element, or the polynomial
+being reduced at one of its every-32-steps content passes, has an integer
+coefficient longer than ``MAX_COEFF_BITS`` bits.
 """
 
 from __future__ import annotations
@@ -74,18 +78,16 @@ from .poly import U12, U123, Endomorphism, Polynomial, VarContext, _cleared
 
 DEFAULT_MAX_SPAIRS = 50_000
 DEFAULT_MAX_DEGREE = 60
-DEFAULT_MAX_COEFF_BITS = 4096
+MAX_COEFF_BITS = 4096
 
 
 @dataclass
 class RunStats:
     """The budgets a run may spend and counters of the work it performed.
 
-    ``spair_budget`` caps the S-pairs of each basis computation,
-    ``degree_budget`` the total degree of any term a reduction creates and
-    ``coeff_budget`` the bit length of any integer coefficient of a basis
-    element or a reduction; the counters sum over every computation charged
-    to this object.
+    ``spair_budget`` caps the S-pairs of each basis computation and
+    ``degree_budget`` the total degree of any term a reduction creates; the
+    counters sum over every computation charged to this object.
     """
 
     spairs: int = 0
@@ -93,19 +95,10 @@ class RunStats:
     millis: int = 0
     spair_budget: int = DEFAULT_MAX_SPAIRS
     degree_budget: int = DEFAULT_MAX_DEGREE
-    coeff_budget: int = DEFAULT_MAX_COEFF_BITS
 
     def note_degree(self, d: int) -> None:
         if d > self.max_degree:
             self.max_degree = d
-
-    def check_coeffs(self, coeffs: Iterable[int]) -> None:
-        """Raise ResourceCapExceeded if an integer is over the bit budget."""
-        bits = max(map(int.bit_length, coeffs), default=0)
-        if bits > self.coeff_budget:
-            raise ResourceCapExceeded(
-                f"a {bits}-bit coefficient exceeds the cap of {self.coeff_budget} bits"
-            )
 
     def merge(self, other: "RunStats") -> None:
         self.spairs += other.spairs
@@ -235,6 +228,15 @@ def _exponents(key: int, layout: tuple) -> tuple:
     return tuple([key >> s & mask for s in shifts])
 
 
+def _check_coeffs(coeffs: Iterable[int]) -> None:
+    """Raise ResourceCapExceeded if an integer is longer than MAX_COEFF_BITS."""
+    bits = max(map(int.bit_length, coeffs), default=0)
+    if bits > MAX_COEFF_BITS:
+        raise ResourceCapExceeded(
+            f"a {bits}-bit coefficient exceeds the cap of {MAX_COEFF_BITS} bits"
+        )
+
+
 def _int_terms(p: Polynomial, weights: tuple):
     """(terms, content): p == content * terms, terms a primitive integer
     term map on packed keys."""
@@ -348,8 +350,8 @@ def _reduce_int(terms: dict, rows: Sequence[tuple], layout: tuple, stats: RunSta
                 for k in out:
                     out[k] //= g2
                 lam_den *= g2
-            stats.check_coeffs(work.values())
-            stats.check_coeffs(out.values())
+            _check_coeffs(work.values())
+            _check_coeffs(out.values())
     return out, Fraction(lam_num, lam_den)
 
 
@@ -373,15 +375,23 @@ def _spoly_int(row_i: tuple, row_j: tuple, lcm: int) -> dict:
     return out
 
 
+def _rekey(key: int, old: tuple, weights: tuple) -> int:
+    """A key of layout ``old``, keyed again by ``weights``."""
+    return _key(_exponents(key, old), weights)
+
+
 def _buchberger_rows(
-    gens: List[dict], layout: tuple, bound: int, stats: RunStats
-) -> List[tuple]:
-    weights, _, mask, guard = layout
+    gens: List[dict], order: MonomialOrder, layout: tuple, bound: int, stats: RunStats
+) -> tuple:
+    """(rows, layout): a Groebner basis of ``gens`` as rows, and the layout
+    they are keyed in, which is ``layout`` unless a basis element outgrew
+    ``bound``."""
+    weights, shifts, mask, guard = layout
     rows: List[tuple] = []
     leads: List[tuple] = []
 
     def add_row(terms: dict) -> None:
-        stats.check_coeffs(terms.values())
+        _check_coeffs(terms.values())
         row = _row(terms)
         rows.append(row)
         leads.append(_exponents(row[0], layout))
@@ -433,16 +443,29 @@ def _buchberger_rows(
         if not r:
             continue
         d = max([k & mask for k in r])
-        if d > bound:
-            raise ResourceCapExceeded(
-                f"a basis element of degree {d} exceeds the cap {bound}"
-            )
+        stats.note_degree(d)
         _content_strip(r)
+        if d > bound:
+            # r is within 2B, so exact in the old layout; re-key everything
+            # for B = d (the width argument in the module docstring)
+            old, bound = layout, d
+            layout = _key_layout(order, len(shifts), bound)
+            weights, shifts, mask, guard = layout
+            rows[:] = [
+                (
+                    _rekey(lt, old, weights),
+                    lc,
+                    [(_rekey(k, old, weights), c) for k, c in tail],
+                )
+                for lt, lc, tail in rows
+            ]
+            r = {_rekey(k, old, weights): c for k, c in r.items()}
+            heap[:] = [(dg, _rekey(K, old, weights), a, b) for dg, K, a, b in heap]
         add_row(r)
         new = len(rows) - 1
         for t in range(new):
             push_pair(t, new)
-    return rows
+    return rows, layout
 
 
 def _minimalize_rows(rows: List[tuple], guard: int) -> List[tuple]:
@@ -498,7 +521,7 @@ def buchberger(
     bound = max(stats.degree_budget, *degrees)
     layout = _key_layout(order, ideal.context.arity, bound)
     gens = [_int_terms(g, layout[0])[0] for g in ideal.generators]
-    rows = _buchberger_rows(gens, layout, bound, stats)
+    rows, layout = _buchberger_rows(gens, order, layout, bound, stats)
     rows = _minimalize_rows(rows, layout[3])
     rows = _interreduce_rows(rows, layout, stats)
     return _rows_to_polys(ideal.context, rows, layout)
@@ -611,19 +634,13 @@ _TAG_CTX = VarContext(("y", "x", "u1", "u2"))
 
 
 @lru_cache(maxsize=128)
-def _tag_basis(
-    f: Endomorphism, spair_budget: int, degree_budget: int, coeff_budget: int
-):
+def _tag_basis(f: Endomorphism, spair_budget: int, degree_budget: int):
     """Reduced lex basis of the tag ideal (u1 - p, u2 - q).
 
     Pure lex with y > x > u1 > u2 eliminates the plane variables, so
     elements with u-only leading terms are u-only polynomials.
     """
-    stats = RunStats(
-        spair_budget=spair_budget,
-        degree_budget=degree_budget,
-        coeff_budget=coeff_budget,
-    )
+    stats = RunStats(spair_budget=spair_budget, degree_budget=degree_budget)
     xname, yname = f.context.names
     u1 = Polynomial.variable(_TAG_CTX, "u1")
     u2 = Polynomial.variable(_TAG_CTX, "u2")
@@ -639,9 +656,7 @@ def _cached_tag_basis(f: Endomorphism, stats: RunStats):
     Buchberger work to ``stats`` only when this call computed it; a cache hit
     did no S-pair work."""
     misses = _tag_basis.cache_info().misses
-    basis, basis_stats = _tag_basis(
-        f, stats.spair_budget, stats.degree_budget, stats.coeff_budget
-    )
+    basis, basis_stats = _tag_basis(f, stats.spair_budget, stats.degree_budget)
     if _tag_basis.cache_info().misses != misses:
         stats.merge(basis_stats)
     return basis

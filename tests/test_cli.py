@@ -385,7 +385,7 @@ class TestEnvironment:
         assert out == ""
         assert "KELLER_MAX_SPAIRS" in err
 
-    @pytest.mark.parametrize("flag", ["--max-spairs", "--max-degree", "--max-coeff-bits"])
+    @pytest.mark.parametrize("flag", ["--max-spairs", "--max-degree"])
     def test_negative_budget_flag_is_usage_error(self, capsys, flag):
         code, out, err = run(capsys, ["check", "-p", "x", "-q", "y + x^2", flag, "-1"])
         assert code == 2

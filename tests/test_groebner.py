@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from keller import groebner
 from keller.errors import (
     AlgebraicallyDependentError,
     ResourceCapExceeded,
 )
 from keller.groebner import (
-    DEFAULT_MAX_COEFF_BITS,
     DEFAULT_MAX_DEGREE,
     DEFAULT_MAX_SPAIRS,
     GREVLEX,
@@ -146,14 +146,30 @@ class TestPackedKeys:
         with pytest.raises(ResourceCapExceeded, match="degree 25 exceeds the cap 24"):
             buchberger(Ideal(XY, gens), LEX, stats=RunStats(degree_budget=24))
 
-    def test_basis_elements_stay_within_the_degree_budget(self):
+    def test_basis_element_above_the_bound_is_kept(self):
         # y^8 comes from an S-polynomial term that no leading term divides,
-        # so no reduction step creates it; the new basis element is refused
+        # so no reduction step creates it: the rows are re-keyed for degree 8
+        # and the basis is the one a large budget gives
         gens = [X**3 - Y**2, X * Y**2 - ONE]
-        stats = RunStats(degree_budget=8)
-        assert buchberger(Ideal(XY, gens), LEX, stats=stats) == [X - Y**6, Y**8 - ONE]
-        with pytest.raises(ResourceCapExceeded, match="basis element of degree 8"):
-            buchberger(Ideal(XY, gens), LEX, stats=RunStats(degree_budget=7))
+        basis = [X - Y**6, Y**8 - ONE]
+        assert buchberger(Ideal(XY, gens), LEX) == basis
+        stats = RunStats(degree_budget=3)
+        assert buchberger(Ideal(XY, gens), LEX, stats=stats) == basis
+        assert stats.max_degree == 8
+
+    def test_pending_pairs_are_re_keyed(self):
+        # under budget 5 a new basis element of degree 6 widens the fields
+        # (and one of degree 7 re-keys them again) while pairs keyed at the
+        # old width wait in the queue
+        ctx = VarContext(("x", "y", "z"))
+        x, y, z = (Polynomial.variable(ctx, v) for v in "xyz")
+        ideal = Ideal(ctx, [y**3 + x * y**3 * z, y**2 * z**2 + x**2 * y**3])
+        wide = RunStats()
+        basis = buchberger(ideal, block_order(2), stats=wide)
+        assert [str(b) for b in basis] == ["y^2*z^2 + x*y^2*z^3", "y^2*z^4 + y^3"]
+        stats = RunStats(degree_budget=5)
+        assert buchberger(ideal, block_order(2), stats=stats) == basis
+        assert stats.spairs == wide.spairs
 
 
 class TestBuchberger:
@@ -273,20 +289,22 @@ class TestBudgets:
         with pytest.raises(ResourceCapExceeded):
             shape_basis(f, stats=RunStats(spair_budget=need.spairs - 1))
 
-    def test_coefficient_budget_is_the_same_in_every_basis(self):
+    def test_coefficient_cap_is_the_same_in_every_basis(self, monkeypatch):
         # 3 is the largest coefficient of every input below: 2 bits
         f = Endomorphism(X, Y + 3 * X**2)
         runs = [
-            lambda stats: kernel_generator(f, stats=stats),
-            lambda stats: shape_basis(f, stats=stats),
-            lambda stats: buchberger(Ideal(XY, [X**2 - 3 * Y, X * Y - ONE]), GREVLEX, stats=stats),
+            lambda: kernel_generator(f),
+            lambda: shape_basis(f),
+            lambda: buchberger(Ideal(XY, [X**2 - 3 * Y, X * Y - ONE]), GREVLEX),
         ]
         for compute in runs:
             clear_caches()
+            monkeypatch.setattr(groebner, "MAX_COEFF_BITS", 1)
             with pytest.raises(ResourceCapExceeded, match="2-bit coefficient exceeds the cap of 1 bits"):
-                compute(RunStats(coeff_budget=1))
+                compute()
             clear_caches()
-            compute(RunStats(coeff_budget=2))
+            monkeypatch.setattr(groebner, "MAX_COEFF_BITS", 2)
+            compute()
 
     def test_merge_keeps_the_budgets(self):
         stats = RunStats(spair_budget=7, degree_budget=9)
@@ -479,9 +497,7 @@ class TestSubringMembership:
         # by hand to get the normal-form route's answer
         f = Endomorphism(X, Y + X**2)
         G_fast = subring_membership(Y, f)
-        basis, _ = _tag_basis(
-            f, DEFAULT_MAX_SPAIRS, DEFAULT_MAX_DEGREE, DEFAULT_MAX_COEFF_BITS
-        )
+        basis, _ = _tag_basis(f, DEFAULT_MAX_SPAIRS, DEFAULT_MAX_DEGREE)
         rem, _ = normal_form(Y.reindex(_TAG_CTX), basis, LEX)
         assert not any(e[0] or e[1] for e in rem.terms)
         assert G_fast == rem.reindex(U12)
