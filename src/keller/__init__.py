@@ -42,7 +42,7 @@ from .groebner import (
     normal_form,
     subring_membership,
 )
-from .parsing import parse_expression, parse_poly
+from .parsing import parse_poly
 from .pipeline import (
     ClassificationReport,
     TfaeReport,

@@ -538,8 +538,12 @@ def _add_map_args(sub) -> None:
     sub.add_argument("-q", required=True, help="image of y, e.g. \"y + x^2\"")
 
 
-def _add_shared(sub) -> None:
+def _add_json(sub) -> None:
     sub.add_argument("--json", metavar="PATH", help="write a JSON report to PATH")
+
+
+def _add_shared(sub) -> None:
+    _add_json(sub)
     sub.add_argument("--max-spairs", type=_budget, default=None,
                      help="S-pair budget of each basis computation")
     sub.add_argument("--max-degree", type=_budget, default=DEFAULT_MAX_DEGREE,
@@ -592,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-cap", type=_budget, default=10)
     p.add_argument("--absolute", action="store_true",
                    help="certify absolute irreducibility per factor")
-    _add_shared(p)
+    _add_json(p)
     p.set_defaults(fn=_cmd_factor)
 
     p = subs.add_parser("units", help="unit-group membership check at v")
@@ -607,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_budget, default=1)
     p.add_argument("--steps", type=_steps, default=4, help="maximum steps per recipe")
     p.add_argument("--degree-cap", type=_budget, default=12)
-    _add_shared(p)
+    _add_json(p)
     p.set_defaults(fn=_cmd_gen)
 
     p = subs.add_parser("gb", help="reduced Groebner basis of an ideal")

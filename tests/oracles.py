@@ -7,6 +7,8 @@ optimized code paths, so agreement between the two is meaningful.
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from keller.poly import Polynomial
 
 
@@ -717,3 +719,67 @@ def reference_factor_bivariate(p, max_degree=4):
         poly = Polynomial(ctx, _b_to_terms(G)).normalized()
         merged[poly] = merged.get(poly, 0) + 1
     return sorted(merged.items(), key=lambda t: (t[0].total_degree(), str(t[0])))
+
+
+# -- reference expression evaluation ------------------------------------------
+
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def _literal(draw, context):
+    num = draw(st.integers(0, 12))
+    den = draw(st.sampled_from([None, 1, 2, 3, 7]))
+    text = str(num) if den is None else f"{num}{draw(_SPACE)}/{draw(_SPACE)}{den}"
+    return text, Polynomial.constant(context, Fraction(num, den or 1))
+
+
+@st.composite
+def _factor(draw, context, depth):
+    """factor := atom ('^' NAT)? | '-' factor, as (text, value)."""
+    kind = draw(st.sampled_from(["literal", "variable", "paren", "neg"][: 4 if depth else 2]))
+    if kind == "neg":
+        text, value = draw(_factor(context, depth - 1))
+        return f"-{draw(_SPACE)}{text}", -value
+    if kind == "literal":
+        text, value = draw(_literal(context))
+    elif kind == "variable":
+        name = draw(st.sampled_from(context.names))
+        text, value = name, Polynomial.variable(context, name)
+    else:
+        inner, value = draw(expressions(context, depth - 1))
+        text = f"({draw(_SPACE)}{inner}{draw(_SPACE)})"
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 3))
+        text, value = f"{text}{draw(_SPACE)}^{draw(_SPACE)}{n}", value**n
+    return text, value
+
+
+@st.composite
+def _term(draw, context, depth):
+    text, value = draw(_factor(context, depth))
+    for _ in range(draw(st.integers(0, 2))):
+        more, factor = draw(_factor(context, depth))
+        if more.startswith("-") or draw(st.booleans()):
+            text = f"{text}{draw(_SPACE)}*{draw(_SPACE)}{more}"
+        else:
+            # juxtaposition needs a space, else "x y" would read as "xy"
+            text = f"{text} {draw(_SPACE)}{more}"
+        value = value * factor
+    return text, value
+
+
+@st.composite
+def expressions(draw, context, depth=2):
+    """(text, value): a random expression of the parse_poly grammar over the
+    context's variables, and its value built with Polynomial operators.
+    Sums, differences, products with and without '*', unary minus, powers
+    of literals, variables and parenthesized sums, rational literals and
+    random whitespace; depth bounds the nesting of parentheses."""
+    text, value = draw(_term(context, depth))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from("+-"))
+        more, term = draw(_term(context, depth))
+        text = f"{text}{draw(_SPACE)}{op}{draw(_SPACE)}{more}"
+        value = value + term if op == "+" else value - term
+    return text, value

@@ -81,9 +81,16 @@ class TestExitCodes:
         assert "coefficient exceeds the cap of 4096 bits" in err + out
 
     def test_parse_error_is_two(self, capsys):
-        code, _, err = run(capsys, ["check", "-p", "x$", "-q", "y"])
-        assert code == 2
-        assert "error" in err
+        cases = [
+            (["check", "-p", "x$", "-q", "y"], "unexpected character '$' (at position 1)"),
+            # digits are ASCII, so a superscript two is no exponent
+            (["factor", "-e", "x^\u00b2"], "unexpected character '\u00b2' (at position 2)"),
+        ]
+        for argv, message in cases:
+            code, out, err = run(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert message in err
 
     def test_unknown_variable_is_two(self, capsys):
         code, _, err = run(capsys, ["check", "-p", "x + w", "-q", "y"])
@@ -140,6 +147,16 @@ class TestExitCodes:
         # value argparse prints its usage line above it
         assert re.match(r"keller [\w-]+: error: ", err.splitlines()[-1])
         assert "(at position" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [["factor", "-e", "x", "--max-degree", "3"], ["gen", "--max-spairs", "3"]]
+    )
+    def test_budget_flags_are_only_where_read(self, capsys, argv):
+        # factor and gen run no basis computation, so they take no budgets
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     def test_unreadable_batch_file_is_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["check", "--batch", str(tmp_path / "nope.txt")])
@@ -334,6 +351,19 @@ class TestBatch:
         assert code == 2
         assert "parse error" in out
 
+    def test_non_ascii_digit_line_does_not_abort_the_batch(self, capsys, tmp_path):
+        batch = tmp_path / "maps.txt"
+        batch.write_text("x ; y + x^2\nx^\u00b2 ; y\ny ; x\n", encoding="utf-8")
+        report = tmp_path / "report.json"
+        code, out, _ = run(capsys, ["check", "--batch", str(batch), "--json", str(report)])
+        assert code == 2
+        assert out.splitlines() == [
+            "[0] x ; y + x^2 -> Automorphism",
+            "[1] parse error: unexpected character '\u00b2' (at position 2)",
+            "[2] y ; x -> Automorphism",
+        ]
+        assert len(json.loads(report.read_text())) == 2
+
     def test_gen_output_feeds_batch(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["gen", "--count", "3", "--seed", "5"])
         assert code == 0
@@ -418,7 +448,8 @@ def _argv(draw):
         argv = ["factor", "-e", draw(xy), "--degree-cap", "6"]
         if draw(st.booleans()):
             argv.append("--absolute")
-    elif command == "gb":
+        return argv
+    if command == "gb":
         argv = ["gb", "--order", draw(st.sampled_from(["lex", "grevlex", "block:1"]))]
         for g in draw(st.lists(xy, min_size=1, max_size=3)):
             argv += ["-g", g]

@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keller.errors import ParseError, UnknownVariableError
-from keller.parsing import parse_expression, parse_poly
+from keller.parsing import parse_poly
 from keller.poly import U123, XY, Polynomial, VarContext
+
+from oracles import expressions
 
 X = Polynomial.variable(XY, "x")
 Y = Polynomial.variable(XY, "y")
@@ -111,6 +113,9 @@ class TestErrors:
             ("x + ", "unexpected end of input", 4),
             ("x $ y", "unexpected character '$'", 2),
             (")x", "unexpected ')'", 0),
+            # digits are ASCII: a superscript or Arabic-Indic digit is no number
+            ("x^\u00b2", "unexpected character '\u00b2'", 2),
+            ("2 + \u0663x", "unexpected character '\u0663'", 4),
         ],
     )
     def test_message_and_position(self, text, message, position):
@@ -141,10 +146,26 @@ class TestErrors:
         with pytest.raises(UnknownVariableError, match=r"expected one of x, y"):
             parse_poly("q", XY)
 
-    def test_ast_parses_without_context(self):
-        # binding to variables happens later, so any name is fine here
-        node = parse_expression("quux + 1")
-        assert node is not None
+    def test_first_error_met_wins(self):
+        # one pass: an unknown name read before a syntax error is reported
+        with pytest.raises(UnknownVariableError, match=r"unknown variable 'z'"):
+            parse_poly("z + )", XY)
+        with pytest.raises(ParseError) as exc:
+            parse_poly("x + ) z", XY)
+        assert (exc.value.message, exc.value.position) == ("unexpected ')'", 4)
+        # the text is split into tokens first, so a bad character anywhere
+        # comes before either
+        with pytest.raises(ParseError) as exc:
+            parse_poly("z + ) $", XY)
+        assert exc.value.message == "unexpected character '$'"
+
+
+class TestAgainstEvaluation:
+    @settings(max_examples=100, deadline=2000)
+    @given(st.sampled_from([XY, U123]).flatmap(expressions))
+    def test_parse_equals_polynomial_arithmetic(self, case):
+        text, value = case
+        assert parse_poly(text, value.context) == value
 
 
 class TestRoundTrip:
