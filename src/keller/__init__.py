@@ -47,6 +47,7 @@ from .pipeline import (
     ClassificationReport,
     TfaeReport,
     Verdict,
+    certified_inverse,
     classify,
     invert,
     verify_inverse,
@@ -68,7 +69,9 @@ from .tame import (
     Affine,
     ElementaryX,
     ElementaryY,
+    TameCertificate,
     TameRecipe,
+    decompose,
     generate_tame,
     random_tame,
 )

@@ -44,11 +44,11 @@ from .groebner import (
     subring_membership,
 )
 from .parsing import parse_poly
-from .pipeline import ClassificationReport, Verdict, classify, invert, verify_inverse
+from .pipeline import ClassificationReport, Verdict, certified_inverse, classify
 from .poly import U12, XY, Endomorphism, VarContext
-from .tame import random_tame
+from .tame import Affine, TameCertificate, random_tame
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _REFUSALS = (
     ResourceCapExceeded,
@@ -125,6 +125,22 @@ def _uv_doc(dec) -> dict:
     return {"u": str(dec.u), "v": str(dec.v), "g": str(dec.g)}
 
 
+def _step_doc(step) -> dict:
+    """A recipe step: its kind and exact coefficients."""
+    if isinstance(step, Affine):
+        coeffs = {k: str(getattr(step, k)) for k in "abcdef"}
+    else:
+        coeffs = {"coeff": str(step.coeff), "power": step.power}
+    return {"kind": type(step).__name__, **coeffs}
+
+
+def _certificate_doc(certificate: Optional[TameCertificate]) -> Optional[list]:
+    """The recipe steps, first applied first."""
+    if certificate is None:
+        return None
+    return [_step_doc(step) for step in certificate.recipe.steps]
+
+
 def _units_doc(verdict) -> dict:
     return {
         "all_in_subring": verdict.all_units_in_Cpq,
@@ -150,6 +166,7 @@ def _report_doc(f: Endomorphism, report: ClassificationReport) -> dict:
         "units": None,
         "verdict": report.verdict.value,
         "inverse": None,
+        "certificate": _certificate_doc(report.certificate),
         "tfae": None,
         "stats": _stats_doc(report.stats),
     }
@@ -347,10 +364,13 @@ def _cmd_invert(args) -> int:
         )
         return 1
     with stats.timed():
-        s, t = invert(f, stats=stats)
-        ok = verify_inverse(f, s, t)
+        (s, t), certificate = certified_inverse(f, stats=stats)
+    ok = certificate is not None
     print(f"s = {s}")
     print(f"t = {t}")
+    for doc in _certificate_doc(certificate) or ():
+        kind = doc.pop("kind")
+        print(f"step: {kind} " + " ".join(f"{k}={v}" for k, v in doc.items()))
     print(f"verified = {ok}")
     if args.json:
         _write_json(
@@ -359,6 +379,7 @@ def _cmd_invert(args) -> int:
                 "schema_version": SCHEMA_VERSION,
                 "input": {"p": str(f.p), "q": str(f.q)},
                 "inverse": {"s": str(s), "t": str(t)},
+                "certificate": _certificate_doc(certificate),
                 "verified": ok,
                 "stats": _stats_doc(stats),
             },

@@ -130,12 +130,17 @@ def uv_decomposition(
     *,
     kernel: Optional[KernelGenerator] = None,
     stats: Optional[RunStats] = None,
+    certified_t: Optional[Polynomial] = None,
 ) -> UVDecomposition:
     """Split y into a numerator over a denominator in the images.
 
     The construction cross-checks itself against the kernel relation: the
     degree r must match, g must equal the normalized kernel generator, and
-    v(p, q) * y - u(p, q, x) must vanish identically.
+    v(p, q) * y - u(p, q, x) must vanish identically. ``certified_t`` is a
+    t(u1, u2) already proven to satisfy t(p, q) = y, such as the second
+    component of a tame certificate's inverse. When v is constant and
+    u = v t, the identity is v y - v t(p, q) = 0 by that proof, and the
+    two substitutions that would check it are skipped.
     """
     stats = stats if stats is not None else RunStats()
     dec = shape_basis(f, stats=stats)
@@ -148,6 +153,12 @@ def uv_decomposition(
         raise InternalInconsistencyError(
             "the cleared minimal polynomial disagrees with the kernel generator"
         )
+    if (
+        certified_t is not None
+        and dec.v.is_constant()
+        and dec.u == certified_t.reindex(U123) * dec.v.constant_value()
+    ):
+        return dec
     xname, yname = f.context.names
     xv = Polynomial.variable(f.context, xname)
     yv = Polynomial.variable(f.context, yname)

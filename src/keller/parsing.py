@@ -17,6 +17,12 @@ parenthesized factor makes it a Polynomial product; an expression sums
 its terms into one term map. Errors are raised where they are met, so a
 bad character anywhere comes first, then the first syntax error or
 unknown variable in reading order.
+
+Two caps keep a short text from stalling a run or exhausting the stack:
+parentheses nest at most ``MAX_NESTING`` deep, and a power whose expanded
+degree would pass ``MAX_EXPANDED_DEGREE`` is refused at its '^', a product
+of parenthesized factors at the '(' that takes it past that degree. All
+are parse errors.
 """
 
 from __future__ import annotations
@@ -34,6 +40,12 @@ _TOKEN = re.compile(r"[0-9]+|\w+|\S")
 _OPS = "+-*^()/"
 
 Token = Tuple[str, str, int]  # kind ("num", "name", "end" or the operator), text, position
+
+# the descent takes three frames per level, well inside Python's default
+# recursion limit of 1000 at this depth
+MAX_NESTING = 100
+# ladder images reach degree 108; (x + y)^1000 already takes 0.2 to 0.3 s
+MAX_EXPANDED_DEGREE = 1000
 
 
 def _tokenize(text: str) -> List[Token]:
@@ -59,6 +71,7 @@ class _Parser:
         self.index = {name: i for i, name in enumerate(context.names)}
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def take(self) -> Token:
         tok = self.tokens[self.i]
@@ -111,24 +124,37 @@ class _Parser:
             kind, text, pos = self.take()
         if kind == "num":
             value = self.rational(int(text))
-            return coeff * value ** self.exponent(), poly
+            return coeff * value ** self.exponent(0), poly
         if kind == "name":
             i = self.index.get(text)
             if i is None:
                 raise UnknownVariableError(
                     f"unknown variable {text!r}; expected one of {', '.join(self.context.names)}"
                 )
-            exps[i] += self.exponent()
+            exps[i] += self.exponent(1)
             return coeff, poly
         if kind == "(":
+            start = pos
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             inner = _polynomial(self.context, self.expr())
+            self.depth -= 1
             kind, text, pos = self.take()
             if kind != ")":
                 raise ParseError(f"expected ')', found {text or 'end of input'!r}", pos)
-            e = self.exponent()
+            e = self.exponent(inner.total_degree())
             if e != 1:
                 inner = inner ** e
-            return coeff, inner if poly is None else poly * inner
+            if poly is None:
+                return coeff, inner
+            degree = poly.total_degree() + inner.total_degree()
+            if degree > MAX_EXPANDED_DEGREE:
+                raise ParseError(
+                    f"the product has degree {degree}, above the cap of {MAX_EXPANDED_DEGREE}",
+                    start,
+                )
+            return coeff, poly * inner
         if kind == "end":
             raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected {text!r}", pos)
@@ -147,9 +173,11 @@ class _Parser:
             raise ParseError("the denominator must be positive", pos)
         return Fraction(num, den)
 
-    def exponent(self) -> int:
+    def exponent(self, degree: int) -> int:
+        """The exponent after a base of the given total degree, 1 if none."""
         if self.tokens[self.i][0] != "^":
             return 1
+        caret = self.tokens[self.i][2]
         kind, text, pos = self.tokens[self.i + 1]
         if kind == "-":
             raise ParseError("negative exponents are not allowed", pos)
@@ -159,7 +187,13 @@ class _Parser:
         kind, _, pos = self.tokens[self.i]
         if kind == "/":
             raise ParseError("fractional exponents are not allowed", pos)
-        return int(text)
+        e = int(text)
+        if degree * e > MAX_EXPANDED_DEGREE:
+            raise ParseError(
+                f"the power has degree {degree * e}, above the cap of {MAX_EXPANDED_DEGREE}",
+                caret,
+            )
+        return e
 
 
 def _polynomial(context: VarContext, terms: dict) -> Polynomial:

@@ -6,14 +6,20 @@ assume it). Stage 2 computes the kernel generator H and the degree r of x
 over the image field. Stage 3 produces the y = u/v decomposition, stage 4
 factors v and checks the localization units, and stage 5 draws the final
 verdict: r = 1 means the map is invertible, and the inverse is read off
-the lex tag basis that stage 3 already computed and then verified by
-composition; r >= 2 on a map that passed stage 1 would be a loud
-counterexample candidate and is treated as an artifact bug elsewhere.
+the lex tag basis that stage 3 also reads; r >= 2 on a map that passed
+stage 1 would be a loud counterexample candidate and is treated as an
+artifact bug elsewhere.
 
 The automorphism conclusion is always derived twice, once from r and once
 from the units check; the two routes must agree or the run aborts. The
-inverse is certified a third time, by both composition identities, however
-it was found.
+inverse is certified a third time by a tame certificate
+(``tame.decompose``): Jung-van der Kulk degree reduction, which proves both
+composition identities with products of degree at most deg f, must find
+the same inverse as the lex basis, or the run aborts. ``verify_inverse``,
+which composes up to degree (deg f)^2, stays public but is not called
+here. At r = 1 the certificate is made before stage 3, whose identity
+check v(p, q) y = u(p, q, x) it then proves when v is constant and
+u = v t; every other map keeps that check by substitution.
 """
 
 from __future__ import annotations
@@ -43,11 +49,13 @@ from .factor import (
 from .funcfield import UVDecomposition, uv_decomposition
 from .groebner import KernelGenerator, RunStats, _cached_tag_basis, kernel_generator
 from .poly import U12, XY, Endomorphism, JacobianInfo, Polynomial
+from .tame import TameCertificate, decompose
 
 __all__ = [
     "Verdict",
     "ClassificationReport",
     "TfaeReport",
+    "certified_inverse",
     "classify",
     "invert",
     "verify_inverse",
@@ -66,9 +74,9 @@ class Verdict(enum.Enum):
 class TfaeReport:
     """The three equivalent conditions, evaluated independently.
 
-    i: an inverse exists and verifies; ii: x has degree 1 over the image
-    field; iii: all unit generators of the localization at v lie in the
-    image subalgebra.
+    i: the lex tag basis gives an inverse and a tame certificate proves
+    the same one; ii: x has degree 1 over the image field; iii: all unit
+    generators of the localization at v lie in the image subalgebra.
     """
 
     i: bool
@@ -90,6 +98,8 @@ class ClassificationReport:
     v_reports: Tuple[PreservationReport, ...] = ()
     units: Optional[UnitsVerdict] = None
     inverse: Optional[Tuple[Polynomial, Polynomial]] = None
+    # the tame recipe whose inverse equals ``inverse``: bit i's evidence
+    certificate: Optional[TameCertificate] = None
     tfae: Optional[TfaeReport] = None
     degenerate_reason: Optional[str] = None
     # a budget stopped a stage, so the evidence is incomplete
@@ -170,7 +180,11 @@ def invert(
 
 
 def verify_inverse(f: Endomorphism, s: Polynomial, t: Polynomial) -> bool:
-    """Check both composition identities exactly."""
+    """Check both composition identities exactly, by substitution.
+
+    ``classify`` proves them with a tame certificate instead; this check
+    expands compositions up to degree (deg f)^2.
+    """
     xv = Polynomial.variable(XY, "x")
     yv = Polynomial.variable(XY, "y")
     u1 = Polynomial.variable(U12, "u1")
@@ -180,6 +194,25 @@ def verify_inverse(f: Endomorphism, s: Polynomial, t: Polynomial) -> bool:
         return False
     fwd = {"x": s, "y": t}
     return f.p.substitute(fwd) == u1 and f.q.substitute(fwd) == u2
+
+
+def certified_inverse(
+    f: Endomorphism, *, stats: Optional[RunStats] = None
+) -> Tuple[Tuple[Polynomial, Polynomial], Optional[TameCertificate]]:
+    """The lex inverse (s, t) of ``invert`` and the tame certificate of f,
+    when ``decompose`` finds one that proves exactly this (s, t); else None
+    in its place.
+
+    Two unrelated algorithms, Groebner bases and degree reduction, must
+    agree, and the certificate proves s(p, q) = x, t(p, q) = y and
+    p(s, t) = u1, q(s, t) = u2 with products alone (see ``decompose``).
+    Raises what ``invert`` raises.
+    """
+    inverse = invert(f, stats=stats)
+    certificate = decompose(f)
+    if certificate is None or certificate.inverse != inverse:
+        return inverse, None
+    return inverse, certificate
 
 
 def classify(
@@ -239,8 +272,23 @@ def _classify(
         return degenerate(exc)
     report.kernel = kernel
 
+    # at r = 1 the map is an automorphism: a basis that is not
+    # {x - s(u), y - t(u)} raises MembershipFailedError, and there must be
+    # a certificate, since every plane automorphism is tame
+    if keller and kernel.r == 1:
+        try:
+            inverse, certificate = certified_inverse(f, stats=stats)
+        except (ResourceCapExceeded, DegreeCapExceeded) as exc:
+            return degenerate(exc)
+        if certificate is None:
+            raise InternalInconsistencyError(
+                "no tame certificate proves the inverse read off the lex basis"
+            )
+        report.inverse, report.certificate = inverse, certificate
+
+    certified_t = report.inverse[1] if report.certificate else None
     try:
-        uv = uv_decomposition(f, kernel=kernel, stats=stats)
+        uv = uv_decomposition(f, kernel=kernel, stats=stats, certified_t=certified_t)
     except (NotShapePositionError, ResourceCapExceeded, DegreeCapExceeded) as exc:
         return degenerate(exc)
     report.uv = uv
@@ -279,21 +327,14 @@ def _classify(
 
     # a non-Keller map gets no inverse claim: its evidence is informational
     if keller:
-        try:
-            s, t = invert(f, stats=stats)
-            bit_i = verify_inverse(f, s, t)
-        except MembershipFailedError:
-            # at r = 1 the map is an automorphism, so the basis must be
-            # {x - s(u), y - t(u)}
-            if bit_ii:
-                raise
-            bit_i = False
         if bit_ii:
-            if not bit_i:
-                raise InternalInconsistencyError("computed inverse failed verification")
-            report.inverse = (s, t)
+            bit_i = True  # the certificate above proves the lex inverse
             report.verdict = Verdict.AUTOMORPHISM
         else:
+            try:
+                bit_i = certified_inverse(f, stats=stats)[1] is not None
+            except MembershipFailedError:
+                bit_i = False
             report.verdict = Verdict.COUNTEREXAMPLE_CANDIDATE
             notes.append(_CANDIDATE_NOTE)
         report.tfae = TfaeReport(bit_i, bit_ii, bit_iii)

@@ -21,6 +21,12 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+# the tame recipe of (x, y + x^2), first step first
+_SHEAR_CERTIFICATE = [
+    {"kind": "Affine", "a": "1", "b": "0", "c": "0", "d": "1", "e": "0", "f": "0"},
+    {"kind": "ElementaryX", "coeff": "1", "power": 2},
+]
+
 # non-Keller maps whose lex tag basis has ever-growing coefficients
 _STALL_MAPS = [
     ("3*y^3 + y^2 - x^2 - x^2*y^2", "y^3 + 1/2*x^2*y + 1/2*x*y^2 + 2*x^3*y"),
@@ -91,6 +97,15 @@ class TestExitCodes:
             assert code == 2
             assert out == ""
             assert message in err
+
+    def test_power_past_the_degree_cap_is_two(self, capsys):
+        # expanding (x + y)^5000 took 29 s; the cap refuses it at the '^'
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["check", "-p", "(x+y)^5000", "-q", "y"])
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert "the power has degree 5000, above the cap of 1000 (at position 5)" in err
 
     def test_unknown_variable_is_two(self, capsys):
         code, _, err = run(capsys, ["check", "-p", "x + w", "-q", "y"])
@@ -243,10 +258,10 @@ class TestJsonReports:
         )
         assert code == 0
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert set(doc) == {
-            "schema_version", "input", "jacobian", "kernel", "uv",
-            "v_factors", "units", "verdict", "inverse", "tfae", "notes", "stats",
+            "schema_version", "input", "jacobian", "kernel", "uv", "v_factors",
+            "units", "verdict", "inverse", "certificate", "tfae", "notes", "stats",
         }
         # v = 1, so bit iii holds without any work, and a note says so
         assert len(doc["notes"]) == 1 and "bit iii holds" in doc["notes"][0]
@@ -257,6 +272,7 @@ class TestJsonReports:
         assert doc["kernel"]["r"] == 1
         assert doc["verdict"] == "Automorphism"
         assert doc["inverse"] == {"s": "u1", "t": "u2 - u1^2"}
+        assert doc["certificate"] == _SHEAR_CERTIFICATE
         assert doc["tfae"] == {"i": True, "ii": True, "iii": True, "consistent": True}
         assert set(doc["stats"]) == {"spairs", "max_degree", "millis"}
 
@@ -277,7 +293,26 @@ class TestJsonReports:
         assert doc["verdict"] == "NotKellerNonConstantJacobian"
         assert doc["jacobian"]["is_constant"] is False
         assert doc["inverse"] is None
+        assert doc["certificate"] is None
         assert doc["tfae"] is None
+
+    def test_invert_reports_the_certificate(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        code, out, _ = run(
+            capsys, ["invert", "-p", "x", "-q", "y + x^2", "--json", str(path)]
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "s = u1",
+            "t = u2 - u1^2",
+            "step: Affine a=1 b=0 c=0 d=1 e=0 f=0",
+            "step: ElementaryX coeff=1 power=2",
+            "verified = True",
+        ]
+        doc = json.loads(path.read_text())
+        assert doc["schema_version"] == 3
+        assert doc["certificate"] == _SHEAR_CERTIFICATE
+        assert doc["verified"] is True
 
     @pytest.mark.parametrize(
         "p, q", [("x", "y + x^2"), ("x", "x*y"), ("x*y", "x + y^2"), ("x*y - x^3", "y")]
@@ -360,6 +395,20 @@ class TestBatch:
         assert out.splitlines() == [
             "[0] x ; y + x^2 -> Automorphism",
             "[1] parse error: unexpected character '\u00b2' (at position 2)",
+            "[2] y ; x -> Automorphism",
+        ]
+        assert len(json.loads(report.read_text())) == 2
+
+    def test_deep_nesting_line_does_not_abort_the_batch(self, capsys, tmp_path):
+        batch = tmp_path / "maps.txt"
+        deep = "(" * 400 + "x" + ")" * 400
+        batch.write_text(f"x ; y + x^2\n{deep} ; y\ny ; x\n")
+        report = tmp_path / "report.json"
+        code, out, _ = run(capsys, ["check", "--batch", str(batch), "--json", str(report)])
+        assert code == 2
+        assert out.splitlines() == [
+            "[0] x ; y + x^2 -> Automorphism",
+            "[1] parse error: parentheses nested deeper than 100 (at position 100)",
             "[2] y ; x -> Automorphism",
         ]
         assert len(json.loads(report.read_text())) == 2

@@ -1,6 +1,7 @@
 """Parser behavior: grammar corners, error positions, and round-trips."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keller.errors import ParseError, UnknownVariableError
-from keller.parsing import parse_poly
+from keller.parsing import MAX_EXPANDED_DEGREE, MAX_NESTING, parse_poly
 from keller.poly import U123, XY, Polynomial, VarContext
 
 from oracles import expressions
@@ -145,6 +146,38 @@ class TestErrors:
     def test_unknown_variable_lists_expected(self):
         with pytest.raises(UnknownVariableError, match=r"expected one of x, y"):
             parse_poly("q", XY)
+
+    def test_nesting_is_capped_at_the_offending_paren(self):
+        assert parse_poly("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, XY) == X
+        for depth in (MAX_NESTING + 1, 400, 5000):
+            with pytest.raises(ParseError) as exc:
+                parse_poly("(" * depth + "x" + ")" * depth, XY)
+            assert exc.value.message == f"parentheses nested deeper than {MAX_NESTING}"
+            assert exc.value.position == MAX_NESTING
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("(x+y)^2000", "the power has degree 2000", 5),
+            ("x^1001", "the power has degree 1001", 1),
+            ("2*(x*y)^501", "the power has degree 1002", 7),
+            ("((x+y)^40)^40", "the power has degree 1600", 10),
+            ("(x+y)^600*(x-y)^600", "the product has degree 1200", 10),
+        ],
+    )
+    def test_expanded_degree_is_capped(self, text, message, position):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, XY)
+        assert time.perf_counter() - start < 1
+        assert exc.value.message == f"{message}, above the cap of {MAX_EXPANDED_DEGREE}"
+        assert exc.value.position == position
+
+    def test_degree_at_the_cap_parses(self):
+        assert parse_poly("x^1000", XY) == X**1000
+        assert parse_poly("(x*y)^500 + (x^2+y)^10*(x-y)^980", XY).total_degree() == 1000
+        # a constant has degree 0, whatever its exponent
+        assert parse_poly("2^2000", XY).constant_value() == 2**2000
 
     def test_first_error_met_wins(self):
         # one pass: an unknown name read before a syntax error is reported

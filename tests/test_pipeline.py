@@ -1,5 +1,7 @@
 """End-to-end classification tests: verdicts, inverses, and the TFAE bits."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from keller.errors import (
     MembershipFailedError,
     ResourceCapExceeded,
 )
+from keller.funcfield import uv_decomposition
 from keller.groebner import (
     _TAG_CTX,
     RunStats,
@@ -21,7 +24,15 @@ from keller.groebner import (
 )
 from keller.pipeline import TfaeReport, Verdict, classify, invert, verify_inverse
 from keller.poly import U12, XY, Endomorphism, Polynomial, compose, identity_map
-from keller.tame import Affine, ElementaryX, TameRecipe, generate_tame, random_tame
+from keller.tame import (
+    Affine,
+    ElementaryX,
+    TameCertificate,
+    TameRecipe,
+    decompose,
+    generate_tame,
+    random_tame,
+)
 
 X = Polynomial.variable(XY, "x")
 Y = Polynomial.variable(XY, "y")
@@ -329,7 +340,8 @@ class TestClassifyProperties:
             assert classify(f).verdict is not Verdict.COUNTEREXAMPLE_CANDIDATE
 
     def test_degree_24_map(self):
-        # both compositions of verify_inverse reach degree (deg f)**2
+        # verify_inverse would compose up to degree 24**2; the certificate
+        # needs products of degree at most 24
         f, recipe = random_tame(0, max_steps=8, degree_cap=36)
         assert f.degree() == 24
         report = classify(f)
@@ -359,3 +371,79 @@ class TestClassifyProperties:
         assert a.kernel.generator == b.kernel.generator
         assert a.uv.u == b.uv.u and a.uv.v == b.uv.v
         assert a.notes == b.notes
+
+
+def counting_substitute(monkeypatch):
+    """Record the images of every Polynomial.substitute call."""
+    calls = []
+    real = Polynomial.substitute
+
+    def counting(self, images):
+        calls.append(images)
+        return real(self, images)
+
+    monkeypatch.setattr(Polynomial, "substitute", counting)
+    return calls
+
+
+class TestTameCertificate:
+    """Bit i at r = 1: the tame certificate must prove the lex inverse."""
+
+    def test_report_carries_the_certificate(self):
+        f, _ = random_tame(7)
+        report = classify(f)
+        assert report.certificate.inverse == report.inverse
+        assert generate_tame(report.certificate.recipe) == f
+
+    def test_missing_certificate_at_r_1_is_inconsistent(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "decompose", lambda f: None)
+        with pytest.raises(InternalInconsistencyError, match="tame certificate"):
+            classify(Endomorphism(X, Y + X**2))
+
+    def test_disagreeing_certificate_is_inconsistent(self, monkeypatch):
+        def wrong(f):
+            cert = decompose(f)
+            return TameCertificate(cert.recipe, (U1, U2))
+
+        monkeypatch.setattr(pipeline_module, "decompose", wrong)
+        with pytest.raises(InternalInconsistencyError, match="tame certificate"):
+            classify(Endomorphism(X, Y + X**2))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_automorphism_needs_no_substitution(self, monkeypatch, seed):
+        # neither verify_inverse nor the uv identity check runs
+        f, _ = random_tame(seed)
+        calls = counting_substitute(monkeypatch)
+        assert classify(f).verdict is Verdict.AUTOMORPHISM
+        assert calls == []
+
+    def test_forced_x_xy_keeps_the_substitution_check(self, monkeypatch):
+        # v = u1 is not constant, and the map gets no certificate
+        calls = counting_substitute(monkeypatch)
+        report = classify(Endomorphism(X, X * Y), force=True)
+        assert report.uv.v == U1 and report.certificate is None
+        assert any("u3" in images for images in calls)
+
+    def test_uv_check_runs_when_u_is_not_v_t(self, monkeypatch):
+        # t = u2 is not the second inverse component of this shear
+        f = Endomorphism(X, Y + X**2)
+        calls = counting_substitute(monkeypatch)
+        uv_decomposition(f, certified_t=U2)
+        assert any("u3" in images for images in calls)
+        calls.clear()
+        uv_decomposition(f, certified_t=U2 - U1**2)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed, degree, seconds", [(30, 18, 10), (36, 36, 30)])
+    def test_ladder_maps(self, seed, degree, seconds):
+        # verify_inverse took 18.8 s on seed 30 and over 10 min on seed 36
+        f, recipe = random_tame(seed, max_steps=8, degree_cap=36)
+        assert f.degree() == degree
+        start = time.perf_counter()
+        report = classify(f)
+        assert time.perf_counter() - start < seconds
+        assert report.verdict is Verdict.AUTOMORPHISM
+        assert report.certificate.inverse == report.inverse
+        g = generate_tame(recipe.inverse())
+        to_u = {"x": "u1", "y": "u2"}
+        assert report.inverse == (g.p.reindex(U12, to_u), g.q.reindex(U12, to_u))
