@@ -18,17 +18,26 @@ its terms into one term map. Errors are raised where they are met, so a
 bad character anywhere comes first, then the first syntax error or
 unknown variable in reading order.
 
-Two caps keep a short text from stalling a run or exhausting the stack:
-parentheses nest at most ``MAX_NESTING`` deep, and a power whose expanded
-degree would pass ``MAX_EXPANDED_DEGREE`` is refused at its '^', a product
-of parenthesized factors at the '(' that takes it past that degree. All
-are parse errors.
+Caps keep a short text from stalling a run or exhausting the stack, each
+checked before the work it bounds and each a parse error:
+
+- parentheses nest at most ``MAX_NESTING`` deep;
+- a power whose expanded degree would pass ``MAX_EXPANDED_DEGREE`` is
+  refused at its '^', a product of parenthesized factors at the '(' that
+  takes it past that degree;
+- a power whose coefficients could pass ``MAX_POWER_BITS`` bits, a power
+  of a constant included, is refused at its '^';
+- expanding the parenthesized factors of one text may take at most
+  ``MAX_TERM_PRODUCTS`` products of two terms, counted exactly for a
+  product and bounded from above for a power; the power or product that
+  would pass it is refused at its '^' or '('.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb, lcm, log2
 from operator import add
 from typing import List, Tuple
 
@@ -44,8 +53,14 @@ Token = Tuple[str, str, int]  # kind ("num", "name", "end" or the operator), tex
 # the descent takes three frames per level, well inside Python's default
 # recursion limit of 1000 at this depth
 MAX_NESTING = 100
-# ladder images reach degree 108; (x + y)^1000 already takes 0.2 to 0.3 s
+# ladder images reach degree 108; (x + y)^1000 already takes 0.1 to 0.3 s
 MAX_EXPANDED_DEGREE = 1000
+# a bound on log2 of numerator times denominator: 2^1024 passes, 3^647 does
+# not; (x + y)^1000 has coefficients of at most 996 bits
+MAX_POWER_BITS = 1024
+# the bound is 0.42 million for (x + y)^1000 and 1.9 million for
+# (x + y + 1)^100, which take 0.1 to 0.7 s
+MAX_TERM_PRODUCTS = 2_000_000
 
 
 def _tokenize(text: str) -> List[Token]:
@@ -72,6 +87,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.products = 0
 
     def take(self) -> Token:
         tok = self.tokens[self.i]
@@ -124,7 +140,11 @@ class _Parser:
             kind, text, pos = self.take()
         if kind == "num":
             value = self.rational(int(text))
-            return coeff * value ** self.exponent(0), poly
+            caret = self.tokens[self.i][2]
+            e = self.exponent(0)
+            if e != 1:
+                self.check_bits(_power_bits((value,), e), caret)
+            return coeff * value**e, poly
         if kind == "name":
             i = self.index.get(text)
             if i is None:
@@ -143,9 +163,12 @@ class _Parser:
             kind, text, pos = self.take()
             if kind != ")":
                 raise ParseError(f"expected ')', found {text or 'end of input'!r}", pos)
+            caret = self.tokens[self.i][2]
             e = self.exponent(inner.total_degree())
             if e != 1:
-                inner = inner ** e
+                self.charge(_power_products(inner, e), caret)
+                self.check_bits(_power_bits(inner.terms.values(), e), caret)
+                inner = inner**e
             if poly is None:
                 return coeff, inner
             degree = poly.total_degree() + inner.total_degree()
@@ -154,6 +177,7 @@ class _Parser:
                     f"the product has degree {degree}, above the cap of {MAX_EXPANDED_DEGREE}",
                     start,
                 )
+            self.charge(len(poly.terms) * len(inner.terms), start)
             return coeff, poly * inner
         if kind == "end":
             raise ParseError("unexpected end of input", pos)
@@ -194,6 +218,65 @@ class _Parser:
                 caret,
             )
         return e
+
+
+    def check_bits(self, bits: float, pos: int) -> None:
+        if bits > MAX_POWER_BITS:
+            raise ParseError(
+                f"the power has coefficients of up to {int(bits) + 1} bits, "
+                f"above the cap of {MAX_POWER_BITS}",
+                pos,
+            )
+
+    def charge(self, products: int, pos: int) -> None:
+        """Add term products to the text's expansion work, refused past the cap."""
+        self.products += products
+        if self.products > MAX_TERM_PRODUCTS:
+            raise ParseError(
+                f"expanding the parentheses takes over {MAX_TERM_PRODUCTS} term products",
+                pos,
+            )
+
+
+def _power_bits(coeffs, e: int) -> float:
+    """A bound on the bits of numerator plus denominator of any coefficient
+    of a power, from its base's coefficients.
+
+    With L the lcm of their denominators the base is Q / L, Q with integer
+    coefficients, and each coefficient of Q^e is at most |Q|_1^e, the e-th
+    power of the sum of their absolute values.
+    """
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    norm = sum(int(abs(c) * den) for c in coeffs)
+    return e * (log2(norm) + log2(den)) if norm else 0.0
+
+
+def _power_products(base: Polynomial, e: int) -> int:
+    """An upper bound on the term products of ``base ** e``.
+
+    Follows the square-and-multiply loop of ``Polynomial.__pow__``; base^k
+    has at most C(k + m - 1, m - 1) terms for m terms in the base, and at
+    most C(k d + n, n), the monomials of degree k d or less in the n
+    variables it uses.
+    """
+    m, d = len(base.terms), base.total_degree()
+    if not m:
+        return 0
+    n = sum(map(any, zip(*base.terms)))
+
+    def size(k: int) -> int:
+        return min(comb(k + m - 1, m - 1), comb(k * d + n, n))
+
+    total, result, power = 0, 0, 1
+    while e:
+        if e & 1:
+            total += size(result) * size(power)
+            result += power
+        e >>= 1
+        if e:
+            total += size(power) ** 2
+            power *= 2
+    return total
 
 
 def _polynomial(context: VarContext, terms: dict) -> Polynomial:

@@ -15,11 +15,12 @@ from the units check; the two routes must agree or the run aborts. The
 inverse is certified a third time by a tame certificate
 (``tame.decompose``): Jung-van der Kulk degree reduction, which proves both
 composition identities with products of degree at most deg f, must find
-the same inverse as the lex basis, or the run aborts. ``verify_inverse``,
-which composes up to degree (deg f)^2, stays public but is not called
-here. At r = 1 the certificate is made before stage 3, whose identity
-check v(p, q) y = u(p, q, x) it then proves when v is constant and
-u = v t; every other map keeps that check by substitution.
+the same inverse as the lex basis, or the run aborts. ``verify_inverse``
+is given that certificate and compares the two inverses; it composes up
+to degree (deg f)^2 only when called without one, which ``classify``
+never does. At r = 1 the certificate is made before stage 3, whose
+identity check v(p, q) y = u(p, q, x) it then proves when v is constant
+and u = v t; every other map keeps that check by substitution.
 """
 
 from __future__ import annotations
@@ -179,12 +180,24 @@ def invert(
     return s, t
 
 
-def verify_inverse(f: Endomorphism, s: Polynomial, t: Polynomial) -> bool:
-    """Check both composition identities exactly, by substitution.
+def verify_inverse(
+    f: Endomorphism,
+    s: Polynomial,
+    t: Polynomial,
+    *,
+    certificate: Optional[TameCertificate] = None,
+) -> bool:
+    """True when (s, t) is the two-sided inverse of f: s(p, q) = x,
+    t(p, q) = y, p(s, t) = u1 and q(s, t) = u2, all exactly.
 
-    ``classify`` proves them with a tame certificate instead; this check
-    expands compositions up to degree (deg f)^2.
+    Given a tame certificate of f (``tame.decompose``), this holds exactly
+    when (s, t) is the certificate's inverse: the certificate proves both
+    identities for its inverse with products of degree at most deg f, and
+    an inverse is unique. Without one, both identities are checked by
+    substitution, which expands compositions up to degree (deg f)^2.
     """
+    if certificate is not None:
+        return certificate.inverse == (s, t)
     xv = Polynomial.variable(XY, "x")
     yv = Polynomial.variable(XY, "y")
     u1 = Polynomial.variable(U12, "u1")
@@ -210,7 +223,7 @@ def certified_inverse(
     """
     inverse = invert(f, stats=stats)
     certificate = decompose(f)
-    if certificate is None or certificate.inverse != inverse:
+    if certificate is None or not verify_inverse(f, *inverse, certificate=certificate):
         return inverse, None
     return inverse, certificate
 

@@ -98,14 +98,22 @@ class TestExitCodes:
             assert out == ""
             assert message in err
 
-    def test_power_past_the_degree_cap_is_two(self, capsys):
-        # expanding (x + y)^5000 took 29 s; the cap refuses it at the '^'
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # expanding (x + y)^5000 took 29 s; refused at the '^'
+            ("(x+y)^5000", "the power has degree 5000, above the cap of 1000 (at position 5)"),
+            # degree 1000, but about 10^9 term products to expand
+            ("(x+y+1)^1000", "takes over 2000000 term products (at position 7)"),
+            ("3^40000000", "coefficients of up to 63398501 bits, above the cap of 1024"),
+        ],
+    )
+    def test_power_past_a_cap_is_two(self, capsys, text, message):
         start = time.perf_counter()
-        code, out, err = run(capsys, ["check", "-p", "(x+y)^5000", "-q", "y"])
+        code, out, err = run(capsys, ["check", "-p", text, "-q", "y"])
         assert time.perf_counter() - start < 5
-        assert code == 2
-        assert out == ""
-        assert "the power has degree 5000, above the cap of 1000 (at position 5)" in err
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_unknown_variable_is_two(self, capsys):
         code, _, err = run(capsys, ["check", "-p", "x + w", "-q", "y"])

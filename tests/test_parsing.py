@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keller.errors import ParseError, UnknownVariableError
-from keller.parsing import MAX_EXPANDED_DEGREE, MAX_NESTING, parse_poly
+from keller.parsing import (
+    MAX_EXPANDED_DEGREE,
+    MAX_NESTING,
+    MAX_POWER_BITS,
+    MAX_TERM_PRODUCTS,
+    parse_poly,
+)
 from keller.poly import U123, XY, Polynomial, VarContext
 
 from oracles import expressions
@@ -176,8 +182,57 @@ class TestErrors:
     def test_degree_at_the_cap_parses(self):
         assert parse_poly("x^1000", XY) == X**1000
         assert parse_poly("(x*y)^500 + (x^2+y)^10*(x-y)^980", XY).total_degree() == 1000
-        # a constant has degree 0, whatever its exponent
-        assert parse_poly("2^2000", XY).constant_value() == 2**2000
+
+    @pytest.mark.parametrize(
+        "text, bits, position",
+        [
+            # a constant has degree 0, so only its size bounds its power
+            ("3^40000000", 63398501, 1),
+            ("2 + 3^647", 1026, 5),
+            ("(3*x+y)^600", 1201, 7),
+            ("(1/1000*x + y)^52", 1037, 14),
+        ],
+    )
+    def test_coefficient_bits_of_a_power_are_capped(self, text, bits, position):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, XY)
+        assert time.perf_counter() - start < 1
+        assert exc.value.message == (
+            f"the power has coefficients of up to {bits} bits, above the cap of {MAX_POWER_BITS}"
+        )
+        assert exc.value.position == position
+
+    def test_bits_at_the_cap_parse(self):
+        assert parse_poly("2^1024", XY).constant_value() == 2**1024
+        assert parse_poly("3^646", XY).constant_value() == 3**646
+        assert parse_poly("(1/1000*x + y)^51", XY).total_degree() == 51
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            # degree 1000 is within the degree cap, but the power has about
+            # 500,000 terms, built from about 10^9 term products
+            ("(x+y+1)^1000", 7),
+            ("(x+y+1)^110", 7),
+            # the work adds up over the text
+            ("(x+y+1)^60*(x-y+1)^60", 11),
+            ("(x+y)^999 + (x+y)^999 + (x+y)^999 + (x+y)^999 + (x+y)^999", 53),
+        ],
+    )
+    def test_expansion_work_is_capped(self, text, position):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, XY)
+        assert time.perf_counter() - start < 5
+        assert exc.value.message == (
+            f"expanding the parentheses takes over {MAX_TERM_PRODUCTS} term products"
+        )
+        assert exc.value.position == position
+
+    def test_work_under_the_cap_parses(self):
+        assert len(parse_poly("(x+y+1)^100", XY).terms) == 5151
+        assert parse_poly("(0)^1000000000 + (2)^10", XY).constant_value() == 1024
 
     def test_first_error_met_wins(self):
         # one pass: an unknown name read before a syntax error is reported

@@ -411,10 +411,19 @@ class TestTameCertificate:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_automorphism_needs_no_substitution(self, monkeypatch, seed):
-        # neither verify_inverse nor the uv identity check runs
+        # verify_inverse reads the certificate and the uv identity check
+        # is proved by it: neither substitutes
         f, _ = random_tame(seed)
         calls = counting_substitute(monkeypatch)
         assert classify(f).verdict is Verdict.AUTOMORPHISM
+        assert calls == []
+
+    def test_verify_inverse_with_a_certificate_compares(self, monkeypatch):
+        f = Endomorphism(X, Y + X**2)
+        cert = decompose(f)
+        calls = counting_substitute(monkeypatch)
+        assert verify_inverse(f, U1, U2 - U1**2, certificate=cert)
+        assert not verify_inverse(f, U1, U2, certificate=cert)
         assert calls == []
 
     def test_forced_x_xy_keeps_the_substitution_check(self, monkeypatch):
