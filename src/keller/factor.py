@@ -44,7 +44,6 @@ from .poly import (
     Endomorphism,
     Polynomial,
     VarContext,
-    _cleared,
     _eval_others,
     _from_list,
     _split_var_content,
@@ -125,10 +124,9 @@ def _certified_squarefree(prim: Polynomial, xi: int) -> bool:
     full degree rules out every square factor. False means only that no
     point tried gave such an image.
     """
-    num, _ = _cleared(prim.terms)
-    n = max(e[xi] for e in num)
+    n = max(e[xi] for e in prim.num)
     for c in itertools.islice(_eval_points(), _CERTIFICATE_POINTS):
-        image = _eval_others(num, xi, c)
+        image = _eval_others(prim.num, xi, c)
         if len(image) == n + 1 and uni.deg(uni.gcd_z(image, uni.derivative(image))) == 0:
             return True
     return False
@@ -263,21 +261,21 @@ def _factor_univariate_image(f: Polynomial, name: str) -> List[Polynomial]:
     ctx = f.context
     vi = ctx.index(name)
     # no other variable occurs, so the image at 1 is the dense list
-    dense = _eval_others(_cleared(f.terms)[0], vi, 1)
+    dense = _eval_others(f.num, vi, 1)
     return [_from_list(ctx, vi, g).normalized() for g in uni.factor_squarefree(dense)]
 
 
 def _from_rows(ctx: VarContext, xi: int, yi: int, rows: List[List[int]]) -> Polynomial:
     """The polynomial sum rows[i][j] * x**i * y**j."""
     base = [0] * ctx.arity
-    terms = {}
+    num = {}
     for i, row in enumerate(rows):
         base[xi] = i
         for j, c in enumerate(row):
             if c:
                 base[yi] = j
-                terms[tuple(base)] = Fraction(c)
-    return Polynomial._raw(ctx, terms)
+                num[tuple(base)] = c
+    return Polynomial._raw(ctx, num)
 
 
 def _shifted(f: List[int], c: int) -> List[int]:
@@ -326,8 +324,8 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
     # the dense y-lists of the coefficients in x, then the monic form
     # lc**(n-1) * part(x / lc, y), whose top row is [1]
     rows = [[0] * (part.degree_in(yn) + 1) for _ in range(n + 1)]
-    for e, c in part.terms.items():
-        rows[e[xi]][e[yi]] = int(c)
+    for e, c in part.num.items():
+        rows[e[xi]][e[yi]] = c
     rows = [uni.strip(r) for r in rows]
     lc = rows[n]
     power = [1]
@@ -462,8 +460,8 @@ def factor_bivariate(
     prod = Polynomial.constant(f.context, 1)
     for g, mult in factors:
         prod = prod * g**mult
-    lead_exp, lead_coeff = max(prod.terms.items(), key=lambda t: t[0])
-    content = f.terms.get(lead_exp, Fraction(0)) / lead_coeff
+    lead = max(prod.num)
+    content = Fraction(f.num.get(lead, 0) * prod.den, prod.num[lead] * f.den)
     if prod * content != f:
         raise InternalInconsistencyError("factorization failed to multiply back")
 
@@ -520,10 +518,9 @@ def absolute_irreducibility(f: Polynomial) -> Optional[bool]:
             h = mono(a, b)
             columns.append(-(f * h.diff(xn)) + h * fx)
 
-    monomials = sorted({e for col in columns for e in col.terms})
-    matrix = [
-        [col.terms.get(e, Fraction(0)) for col in columns] for e in monomials
-    ]
+    # scaling a column by its denominator keeps the nullity
+    monomials = sorted({e for col in columns for e in col.num})
+    matrix = [[col.num.get(e, 0) for col in columns] for e in monomials]
     dim = nullity(matrix)
     if dim == 1:
         return True

@@ -25,6 +25,7 @@ arithmetic. This is exact for the following reasons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Dict, Optional
@@ -57,10 +58,10 @@ class UVDecomposition:
 
 def _in_u3(coeffs: Dict[int, Polynomial]) -> Polynomial:
     """sum coeffs[k] * u3^k, for coefficients in the (u1, u2) context."""
-    return Polynomial(
-        U123,
-        {(e1, e2, k): c for k, p in coeffs.items() for (e1, e2), c in p.terms.items()},
-    )
+    den = math.lcm(*[p.den for p in coeffs.values()])
+    num = {(*e, k): n * den // p.den for k, p in coeffs.items() for e, n in p.num.items()}
+    # each coefficient is in lowest terms, so no factor of den divides all of num
+    return Polynomial._raw(U123, num, den)
 
 
 def shape_basis(f: Endomorphism, *, stats: Optional[RunStats] = None) -> UVDecomposition:
@@ -77,10 +78,12 @@ def shape_basis(f: Endomorphism, *, stats: Optional[RunStats] = None) -> UVDecom
     elements = []
     for b in _cached_tag_basis(f, stats):
         grouped: Dict[tuple, dict] = {}
-        for (ey, ex, e1, e2), c in b.terms.items():
-            grouped.setdefault((ex, ey), {})[(e1, e2)] = c
-        ey, ex = max(b.terms)[:2]
-        elements.append(((ex, ey), {e: Polynomial(U12, t) for e, t in grouped.items()}))
+        for (ey, ex, e1, e2), n in b.num.items():
+            grouped.setdefault((ex, ey), {})[(e1, e2)] = n
+        ey, ex = max(b.num)[:2]
+        elements.append(
+            ((ex, ey), {e: Polynomial._make(U12, t, b.den) for e, t in grouped.items()})
+        )
     leads = {lt for lt, _ in elements}
     if (0, 0) in leads:
         raise AlgebraicallyDependentError(

@@ -61,7 +61,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from time import perf_counter
@@ -74,7 +73,7 @@ from .errors import (
     ZeroKernelError,
 )
 from .linalg import solve_sparse
-from .poly import U12, U123, Endomorphism, Polynomial, VarContext, _cleared
+from .poly import U12, U123, Endomorphism, Polynomial, VarContext
 
 DEFAULT_MAX_SPAIRS = 50_000
 DEFAULT_MAX_DEGREE = 60
@@ -238,11 +237,10 @@ def _check_coeffs(coeffs: Iterable[int]) -> None:
 
 
 def _int_terms(p: Polynomial, weights: tuple):
-    """(terms, content): p == content * terms, terms a primitive integer
-    term map on packed keys."""
-    nums, den = _cleared(p.terms)
-    g = math.gcd(*nums.values())
-    return {_key(e, weights): c // g for e, c in nums.items()}, Fraction(g, den)
+    """(terms, g): p == g / p.den * terms, terms a primitive integer term
+    map on packed keys."""
+    g = math.gcd(*p.num.values())
+    return {_key(e, weights): c // g for e, c in p.num.items()}, g
 
 
 def _row(terms: dict) -> tuple:
@@ -275,9 +273,9 @@ def _content_strip(d: dict) -> int:
 def _reduce_int(terms: dict, rows: Sequence[tuple], layout: tuple, stats: RunStats):
     """Fully reduce an integer term map against rows.
 
-    Returns (reduced_terms, multiplier) with
-    multiplier * input == reduced + (ideal member); multiplier is a
-    positive Fraction. The next term is popped from a max-heap of keys;
+    Returns (reduced_terms, lam_num, lam_den) with
+    lam_num / lam_den * input == reduced + (ideal member), both positive
+    integers. The next term is popped from a max-heap of keys;
     a key cancelled while waiting stays in the heap and is skipped when
     popped, and a key enters the heap only when it enters ``work``.
     """
@@ -352,7 +350,7 @@ def _reduce_int(terms: dict, rows: Sequence[tuple], layout: tuple, stats: RunSta
                 lam_den *= g2
             _check_coeffs(work.values())
             _check_coeffs(out.values())
-    return out, Fraction(lam_num, lam_den)
+    return out, lam_num, lam_den
 
 
 def _spoly_int(row_i: tuple, row_j: tuple, lcm: int) -> dict:
@@ -439,7 +437,7 @@ def _buchberger_rows(
         s = _spoly_int(rows[i], rows[j], L)
         if not s:
             continue
-        r, _ = _reduce_int(s, rows, layout, stats)
+        r = _reduce_int(s, rows, layout, stats)[0]
         if not r:
             continue
         d = max([k & mask for k in r])
@@ -481,7 +479,7 @@ def _interreduce_rows(rows: List[tuple], layout: tuple, stats: RunStats) -> List
     out = list(rows)
     for i in range(len(out)):
         others = out[:i] + out[i + 1 :]
-        r, _ = _reduce_int(_row_terms(out[i]), others, layout, stats)
+        r = _reduce_int(_row_terms(out[i]), others, layout, stats)[0]
         _content_strip(r)
         out[i] = _row(r)
     out.sort(key=lambda row: row[0], reverse=True)
@@ -493,8 +491,7 @@ def _rows_to_polys(
 ) -> List[Polynomial]:
     return [
         Polynomial._raw(
-            context,
-            {_exponents(k, layout): Fraction(c) for k, c in _row_terms(row).items()},
+            context, {_exponents(k, layout): c for k, c in _row_terms(row).items()}
         )
         for row in rows
     ]
@@ -550,11 +547,14 @@ def normal_form(
     bound = max(stats.degree_budget, f.total_degree(), *[b.total_degree() for b in basis])
     layout = _key_layout(order, f.context.arity, bound)
     rows = [_row(_int_terms(b, layout[0])[0]) for b in basis]
-    terms, content = _int_terms(f, layout[0])
-    reduced, lam = _reduce_int(terms, rows, layout, stats)
-    scale = content / lam
-    rem = Polynomial._raw(
-        f.context, {_exponents(k, layout): scale * c for k, c in reduced.items()}
+    terms, g = _int_terms(f, layout[0])
+    reduced, lam_num, lam_den = _reduce_int(terms, rows, layout, stats)
+    # f == g / f.den * terms and lam * terms == reduced + (ideal member)
+    scale = g * lam_den
+    rem = Polynomial._make(
+        f.context,
+        {_exponents(k, layout): scale * c for k, c in reduced.items()},
+        f.den * lam_num,
     )
     return rem, rem != f
 
@@ -601,7 +601,7 @@ def kernel_generator(
     g1 = u1 - f.p.reindex(_KERNEL_CTX, rename)
     g2 = u2 - f.q.reindex(_KERNEL_CTX, rename)
     basis = buchberger(Ideal(_KERNEL_CTX, [g1, g2]), block_order(1), stats=stats)
-    elim = [b for b in basis if all(e[0] == 0 for e in b.terms)]
+    elim = [b for b in basis if all(e[0] == 0 for e in b.num)]
     if not elim:
         raise ZeroKernelError(
             "no relation ties the images to the plane variable; "
@@ -619,13 +619,11 @@ def kernel_generator(
             "the coordinate images satisfy a relation not involving the plane "
             "variable; they are algebraically dependent"
         )
-    coeffs = []
     split = {}
-    for exps, c in H.terms.items():
+    for exps, c in H.num.items():
         split.setdefault(exps[2], {})[(exps[0], exps[1])] = c
-    for i in range(r + 1):
-        coeffs.append(Polynomial(U12, split.get(i, {})))
-    return KernelGenerator(H, r, tuple(coeffs))
+    coeffs = tuple(Polynomial._make(U12, split.get(i, {}), H.den) for i in range(r + 1))
+    return KernelGenerator(H, r, coeffs)
 
 
 # -- membership in the image subalgebra -------------------------------------
@@ -700,20 +698,18 @@ def subring_membership(
 
     products = _image_powers(f, max(4, min(w.total_degree(), 6)))
     keys = sorted(products.keys())
-    rows = [products[k].terms for k in keys]
-    combo = solve_sparse(rows, w.terms)
+    # solved on the stored numerators: c' with sum c'_kl * num_kl == w.num
+    # gives w == sum c'_kl * den_kl / w.den * p**k * q**l
+    combo = solve_sparse([products[k].num for k in keys], w.num)
     if combo is not None:
-        terms = {}
-        for (k, l), c in zip(keys, combo):
-            if c:
-                terms[(k, l)] = c
-        G = Polynomial(U12, terms)
-        return G
+        return Polynomial(
+            U12, {k: c * products[k].den / w.den for k, c in zip(keys, combo) if c}
+        )
 
     basis = _cached_tag_basis(f, stats)
     wt = w.reindex(_TAG_CTX)
     rem, _ = normal_form(wt, basis, LEX, stats=stats)
-    if any(e[0] or e[1] for e in rem.terms):
+    if any(e[0] or e[1] for e in rem.num):
         return None
     return rem.reindex(U12)
 

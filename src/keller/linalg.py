@@ -1,16 +1,17 @@
 """Small exact linear algebra helpers over Q.
 
 Rows are sparse dicts mapping an arbitrary hashable column key to a nonzero
-Fraction. Only what the package needs: solving a consistent system for one
-solution, and the nullity of a dense matrix.
+int or Fraction; solutions are Fractions. Only what the package needs:
+solving a consistent system for one solution, and the nullity of a dense
+matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
-SparseRow = Dict[Hashable, Fraction]
+SparseRow = Dict[Hashable, Union[int, Fraction]]
 
 
 def _pick_pivot(row: SparseRow):
@@ -47,7 +48,7 @@ def solve_sparse(rows: List[SparseRow], target: SparseRow) -> Optional[List[Frac
         if not row:
             continue
         pivot = _pick_pivot(row)
-        inv = 1 / row[pivot]
+        inv = Fraction(1) / row[pivot]
         row = {k: v * inv for k, v in row.items()}
         combo = [c * inv for c in combo]
         echelon.append((pivot, row, combo))
@@ -71,8 +72,8 @@ def solve_sparse(rows: List[SparseRow], target: SparseRow) -> Optional[List[Frac
     return out
 
 
-def nullity(matrix: List[List[Fraction]]) -> int:
-    """Dimension of the nullspace of a dense rational matrix."""
+def nullity(matrix: List[list]) -> int:
+    """Dimension of the nullspace of a dense matrix of ints or Fractions."""
     if not matrix:
         return 0
     rows = [list(r) for r in matrix]
@@ -90,7 +91,7 @@ def nullity(matrix: List[List[Fraction]]) -> int:
             col += 1
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][col]
+        inv = Fraction(1) / rows[r][col]
         rows[r] = [v * inv for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col]:

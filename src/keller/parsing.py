@@ -30,18 +30,23 @@ checked before the work it bounds and each a parse error:
 - expanding the parenthesized factors of one text may take at most
   ``MAX_TERM_PRODUCTS`` products of two terms, counted exactly for a
   product and bounded from above for a power; the power or product that
-  would pass it is refused at its '^' or '('.
+  would pass it is refused at its '^' or '(';
+- numerals, term coefficients, sums of like terms and products of
+  parenthesized factors (numerators and common denominator) stay within
+  ``groebner.MAX_COEFF_BITS`` bits, refused at the numeral, factor, term or
+  '(' that passes it; a numeral is refused by its length before ``int()``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, lcm, log2
+from math import comb, log2
 from operator import add
 from typing import List, Tuple
 
 from .errors import ParseError, UnknownVariableError
+from .groebner import MAX_COEFF_BITS
 from .poly import Polynomial, VarContext
 
 # an ASCII digit run, a word, or any other non-space character
@@ -61,6 +66,8 @@ MAX_POWER_BITS = 1024
 # the bound is 0.42 million for (x + y)^1000 and 1.9 million for
 # (x + y + 1)^100, which take 0.1 to 0.7 s
 MAX_TERM_PRODUCTS = 2_000_000
+# the digits of 2**MAX_COEFF_BITS: a numeral with fewer is below it
+_MAX_DIGITS = len(str(1 << MAX_COEFF_BITS))
 
 
 def _tokenize(text: str) -> List[Token]:
@@ -99,9 +106,11 @@ class _Parser:
         terms: dict = {}
         coeff = 1
         while True:
+            pos = self.tokens[self.i][2]
             for e, c in self.term(coeff):
                 v = terms.get(e, 0) + c
                 if v:
+                    self.check_coeff(v, pos)
                     terms[e] = v
                 else:
                     del terms[e]
@@ -129,7 +138,8 @@ class _Parser:
             return ()
         if poly is None:
             return ((tuple(exps), coeff),)
-        return [(tuple(map(add, e, exps)), c * coeff) for e, c in poly.terms.items()]
+        scale = Fraction(coeff, poly.den) if poly.den != 1 else coeff
+        return [(tuple(map(add, e, exps)), c * scale) for e, c in poly.num.items()]
 
     def factor(self, coeff, exps: List[int], poly):
         """Multiply one factor into the term coeff * x^exps * poly."""
@@ -139,12 +149,17 @@ class _Parser:
             coeff = -coeff
             kind, text, pos = self.take()
         if kind == "num":
-            value = self.rational(int(text))
+            value = self.rational(self.numeral(text, pos))
             caret = self.tokens[self.i][2]
             e = self.exponent(0)
             if e != 1:
-                self.check_bits(_power_bits((value,), e), caret)
-            return coeff * value**e, poly
+                self.check_bits(abs(value.numerator), value.denominator, e, caret)
+            # a numeral and its powers are within the cap, a product may not be
+            unit = coeff in (1, -1)
+            coeff *= value**e
+            if not unit:
+                self.check_coeff(coeff, pos)
+            return coeff, poly
         if kind == "name":
             i = self.index.get(text)
             if i is None:
@@ -158,7 +173,7 @@ class _Parser:
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            inner = _polynomial(self.context, self.expr())
+            inner = Polynomial._from_coeffs(self.context, self.expr())
             self.depth -= 1
             kind, text, pos = self.take()
             if kind != ")":
@@ -167,7 +182,7 @@ class _Parser:
             e = self.exponent(inner.total_degree())
             if e != 1:
                 self.charge(_power_products(inner, e), caret)
-                self.check_bits(_power_bits(inner.terms.values(), e), caret)
+                self.check_bits(sum(map(abs, inner.num.values())), inner.den, e, caret)
                 inner = inner**e
             if poly is None:
                 return coeff, inner
@@ -177,8 +192,10 @@ class _Parser:
                     f"the product has degree {degree}, above the cap of {MAX_EXPANDED_DEGREE}",
                     start,
                 )
-            self.charge(len(poly.terms) * len(inner.terms), start)
-            return coeff, poly * inner
+            self.charge(len(poly) * len(inner), start)
+            poly = poly * inner
+            self.check_coeff(max(poly.den, *map(abs, poly.num.values())), start)
+            return coeff, poly
         if kind == "end":
             raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected {text!r}", pos)
@@ -192,7 +209,7 @@ class _Parser:
         if kind != "num":
             raise ParseError("expected a denominator", pos)
         self.i += 2
-        den = int(text)
+        den = self.numeral(text, pos)
         if not den:
             raise ParseError("the denominator must be positive", pos)
         return Fraction(num, den)
@@ -208,10 +225,10 @@ class _Parser:
         if kind != "num":
             raise ParseError("the exponent must be a natural number", pos)
         self.i += 2
+        e = self.numeral(text, pos)
         kind, _, pos = self.tokens[self.i]
         if kind == "/":
             raise ParseError("fractional exponents are not allowed", pos)
-        e = int(text)
         if degree * e > MAX_EXPANDED_DEGREE:
             raise ParseError(
                 f"the power has degree {degree * e}, above the cap of {MAX_EXPANDED_DEGREE}",
@@ -219,8 +236,37 @@ class _Parser:
             )
         return e
 
+    def numeral(self, text: str, pos: int) -> int:
+        """An ASCII digit run as an int, refused before ``int()`` when it has
+        more significant digits than a MAX_COEFF_BITS-bit number can have."""
+        if len(text) < _MAX_DIGITS:
+            return int(text)
+        digits = text.lstrip("0") or "0"
+        if len(digits) > _MAX_DIGITS:
+            raise ParseError(
+                f"a numeral of {len(digits)} digits is above the cap of {MAX_COEFF_BITS} bits",
+                pos,
+            )
+        value = int(digits)
+        self.check_coeff(value, pos)
+        return value
 
-    def check_bits(self, bits: float, pos: int) -> None:
+    def check_coeff(self, c, pos: int) -> None:
+        """Refuse an int or Fraction with a numerator or denominator above
+        MAX_COEFF_BITS bits."""
+        bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+        if bits > MAX_COEFF_BITS:
+            raise ParseError(
+                f"a coefficient of {bits} bits is above the cap of {MAX_COEFF_BITS} bits",
+                pos,
+            )
+
+    def check_bits(self, norm: int, den: int, e: int, pos: int) -> None:
+        """Refuse the power e of a base Q / den whose coefficients could pass
+        MAX_POWER_BITS bits (numerator plus denominator), Q with integer
+        coefficients of l1 norm ``norm``: each coefficient of Q^e is at most
+        norm^e."""
+        bits = e * (log2(norm) + log2(den)) if norm else 0.0
         if bits > MAX_POWER_BITS:
             raise ParseError(
                 f"the power has coefficients of up to {int(bits) + 1} bits, "
@@ -238,19 +284,6 @@ class _Parser:
             )
 
 
-def _power_bits(coeffs, e: int) -> float:
-    """A bound on the bits of numerator plus denominator of any coefficient
-    of a power, from its base's coefficients.
-
-    With L the lcm of their denominators the base is Q / L, Q with integer
-    coefficients, and each coefficient of Q^e is at most |Q|_1^e, the e-th
-    power of the sum of their absolute values.
-    """
-    den = lcm(*(Fraction(c).denominator for c in coeffs))
-    norm = sum(int(abs(c) * den) for c in coeffs)
-    return e * (log2(norm) + log2(den)) if norm else 0.0
-
-
 def _power_products(base: Polynomial, e: int) -> int:
     """An upper bound on the term products of ``base ** e``.
 
@@ -259,10 +292,10 @@ def _power_products(base: Polynomial, e: int) -> int:
     most C(k d + n, n), the monomials of degree k d or less in the n
     variables it uses.
     """
-    m, d = len(base.terms), base.total_degree()
+    m, d = len(base), base.total_degree()
     if not m:
         return 0
-    n = sum(map(any, zip(*base.terms)))
+    n = sum(map(any, zip(*base.num)))
 
     def size(k: int) -> int:
         return min(comb(k + m - 1, m - 1), comb(k * d + n, n))
@@ -279,11 +312,6 @@ def _power_products(base: Polynomial, e: int) -> int:
     return total
 
 
-def _polynomial(context: VarContext, terms: dict) -> Polynomial:
-    """A term map whose coefficients are ints or Fractions as a Polynomial."""
-    return Polynomial._raw(context, {e: Fraction(c) for e, c in terms.items()})
-
-
 def parse_poly(text: str, context: VarContext) -> Polynomial:
     """Parse text into an exact polynomial over the given variables."""
     if not text or not text.strip():
@@ -293,4 +321,4 @@ def parse_poly(text: str, context: VarContext) -> Polynomial:
     kind, tok, pos = parser.tokens[parser.i]
     if kind != "end":
         raise ParseError(f"unexpected {tok!r}", pos)
-    return _polynomial(context, terms)
+    return Polynomial._from_coeffs(context, terms)

@@ -159,13 +159,12 @@ def invert(
     y_lead, x_lead = (1, 0, 0, 0), (0, 1, 0, 0)
     read = {}
     for b in _cached_tag_basis(f, stats):
-        lead = max(b.terms)
-        tail = {e[2:]: a for e, a in b.terms.items() if not (e[0] or e[1])}
-        if lead not in (y_lead, x_lead) or len(tail) != len(b.terms) - 1:
+        lead = max(b.num)
+        tail = {e[2:]: -a for e, a in b.num.items() if not (e[0] or e[1])}
+        if lead not in (y_lead, x_lead) or len(tail) != len(b.num) - 1:
             read.clear()
             break
-        c = b.terms[lead]
-        read[lead] = Polynomial(U12, {e: -a / c for e, a in tail.items()})
+        read[lead] = Polynomial._make(U12, tail, b.num[lead])
     if len(read) != 2:
         raise MembershipFailedError(
             "the lex tag basis is not {x - s(u), y - t(u)}, so x or y is not "

@@ -1,8 +1,12 @@
 """Exact sparse polynomial arithmetic over the rationals.
 
-A polynomial is an immutable term map from exponent tuples to nonzero
-`fractions.Fraction` coefficients, attached to a fixed ordered variable
-context. Everything is exact; no floating point enters at any stage.
+A polynomial lives in a fixed ordered variable context, stored as integer
+numerators over one denominator: ``num`` maps exponent tuples to nonzero
+ints, ``den`` is a positive int, and gcd(den, every numerator) == 1. This
+form is canonical, so ``__eq__`` and ``__hash__`` compare (context, num,
+den). Every construction returns it and every arithmetic method reads
+``num`` and ``den`` directly; ``terms``, exponent tuple -> ``Fraction``, is
+built on each read, for printing and output. No floating point enters.
 
 Term order conventions used throughout the package:
 
@@ -14,19 +18,17 @@ Term order conventions used throughout the package:
   coefficient is positive.  Gcds, factors, and denominators are always
   returned in this form.
 
-Products and substitutions run on integers and packed monomial keys.
-Each operand is cleared to integer numerators over the lcm of its
-denominators, and each exponent tuple is packed into one int, the exponent
-of variable i in a field of ``w`` bits.  ``w`` is chosen per call from a
-proven bound B on every exponent the call can produce, as the bit length of
-B: in ``__mul__`` B is the largest exponent of one operand plus the
-largest of the other, in ``substitute`` it is deg(self) times the largest
-total degree of the images.  No field then reaches 2**w, so adding two
-keys adds their exponents field by field, and the product loop is one int
-addition, one int product and one dict update per pair of terms.
-``__mul__`` unpacks once and builds one ``Fraction(n, da * db)`` per output
-term.  A one-term operand is an exponent shift instead, with no clearing
-and no packing.
+Products and substitutions run on packed monomial keys: each exponent
+tuple is packed into one int, the exponent of variable i in a field of
+``w`` bits.  ``w`` is chosen per call from a proven bound B on every
+exponent the call can produce, as the bit length of B: in ``__mul__`` B is
+the largest exponent of one operand plus the largest of the other, in
+``substitute`` it is deg(self) times the largest total degree of the
+images.  No field then reaches 2**w, so adding two keys adds their
+exponents field by field, and the product loop is one int addition, one
+int product and one dict update per pair of terms.  ``__mul__`` unpacks
+once and puts the product over the product of the two denominators.  A
+one-term operand is an exponent shift instead, with no packing.
 
 ``substitute`` runs the same product loop on row maps, whose key packs
 every target variable but the last and whose value is one big integer:
@@ -36,18 +38,17 @@ The images, their cached powers and the Horner accumulator stay row maps,
 and W comes from a height bound proven before any product (see
 ``substitute``), so the result is decoded once.  ``__mul__`` stays on
 monomial keys: its operands are small and sparse, where rows cost more
-than they save.  The term map stays exponent tuple -> ``Fraction`` outside
-these two methods.
+than they save.
 
 ``poly_gcd`` takes a gcd of one-variable inputs as ``univariate.gcd_z``
 of their dense integer coefficient lists; this covers the contents in the
 main variable that every bivariate gcd splits off first.  On two-variable
 inputs it tries the heuristic gcd, checked by exact division, before the
 primitive pseudo-remainder sequence, which also handles every other case.
-``exact_div`` runs on integer numerators and packed keys too, with one
-spare bit per field that reveals, without unpacking, when a leading
-monomial does not divide a remaining term; a one-term divisor is an
-exponent shift, as in ``__mul__``.
+``exact_div`` runs on packed keys too, with one spare bit per field that
+reveals, without unpacking, when a leading monomial does not divide a
+remaining term; a one-term divisor is an exponent shift, as in
+``__mul__``.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ Exponent = tuple
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -111,24 +111,13 @@ U12 = VarContext(("u1", "u2"))
 U123 = VarContext(("u1", "u2", "u3"))
 
 
-def _coerce(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _ratio(value: Scalar) -> tuple:
+    """(numerator, denominator) of an int or Fraction, the denominator positive."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
-
-
-def _cleared(terms: Mapping[Exponent, Fraction]):
-    """(numerators, den): integer numerators over the lcm of the denominators."""
-    den = 1
-    for c in terms.values():
-        d = c.denominator
-        if den % d:
-            den = den // math.gcd(den, d) * d
-    if den == 1:
-        return {e: c.numerator for e, c in terms.items()}, 1
-    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
 def _layout(arity: int, bound: int):
@@ -148,13 +137,10 @@ def _unpacked(
     context: VarContext, numerators: dict, den: int, shifts: tuple, mask: int
 ) -> "Polynomial":
     """The polynomial numerators / den over packed keys; zeros are dropped."""
-    return Polynomial._raw(
+    return Polynomial._make(
         context,
-        {
-            tuple([k >> s & mask for s in shifts]): Fraction(n, den)
-            for k, n in numerators.items()
-            if n
-        },
+        {tuple([k >> s & mask for s in shifts]): n for k, n in numerators.items() if n},
+        den,
     )
 
 
@@ -174,17 +160,17 @@ def _decoded(
     """The polynomial rows / den, each row read off as signed base-2**width
     digits, which must all lie below 2**(width-1) in absolute value."""
     top, half = (1 << width) - 1, 1 << width - 1
-    terms = {}
+    num = {}
     for k, v in rows.items():
         head = tuple([k >> s & mask for s in shifts])
         e = 0
         while v:
             d = ((v & top) ^ half) - half
             if d:
-                terms[head + (e,)] = Fraction(d, den)
+                num[head + (e,)] = d
             v = (v - d) >> width
             e += 1
-    return Polynomial._raw(context, terms)
+    return Polynomial._make(context, num, den)
 
 
 def _mul_ints(a: dict, b: dict) -> dict:
@@ -202,36 +188,79 @@ def _mul_ints(a: dict, b: dict) -> dict:
     return out
 
 
+def _sum(a: "Polynomial", b: "Polynomial", sign: int) -> "Polynomial":
+    """a + sign * b, over the lcm of the two denominators."""
+    g = math.gcd(a.den, b.den)
+    fa, fb = b.den // g, sign * (a.den // g)
+    out = {e: n * fa for e, n in a.num.items()} if fa != 1 else dict(a.num)
+    for e, n in b.num.items():
+        v = out.get(e, 0) + n * fb
+        if v:
+            out[e] = v
+        else:
+            del out[e]
+    return Polynomial._make(a.context, out, a.den // g * b.den)
+
+
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial over Q, stored as ``num`` over ``den``."""
 
-    __slots__ = ("context", "terms", "_hash")
+    __slots__ = ("context", "num", "den", "_hash")
 
-    def __init__(self, context: VarContext, terms: Mapping[Exponent, Scalar]):
-        clean = {}
+    def __new__(cls, context: VarContext, terms: Mapping[Exponent, Scalar]):
         arity = context.arity
+        checked = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != arity or any(e < 0 or not isinstance(e, int) for e in exps):
                 raise ValueError(f"bad exponent tuple {exps!r} for arity {arity}")
-            c = _coerce(coeff)
-            if c:
-                clean[exps] = c
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+            checked[exps] = coeff
+        return cls._from_coeffs(context, checked)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def _raw(cls, context: VarContext, clean_terms: dict) -> "Polynomial":
-        """Fast path for internally constructed, already-clean term maps."""
+    def _from_coeffs(cls, context: VarContext, coeffs: Mapping[Exponent, Scalar]) -> "Polynomial":
+        """A term map with valid exponent tuples and int or Fraction values.
+        Each value is in lowest terms, so over the lcm of the denominators
+        the numerators have no factor in common with it."""
+        ratios = [(e, *_ratio(c)) for e, c in coeffs.items()]
+        den = math.lcm(*[d for _, _, d in ratios])
+        return cls._raw(context, {e: n * (den // d) for e, n, d in ratios if n}, den)
+
+    @classmethod
+    def _raw(cls, context: VarContext, num: dict, den: int = 1) -> "Polynomial":
+        """Fast path for numerators already in canonical form over den."""
         self = object.__new__(cls)
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", clean_terms)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
         return self
+
+    @classmethod
+    def _make(cls, context: VarContext, num: dict, den: int) -> "Polynomial":
+        """num / den in canonical form, for nonzero int numerators and a
+        nonzero int den."""
+        if den < 0:
+            num = {e: -n for e, n in num.items()}
+            den = -den
+        if den != 1:
+            g = den
+            for n in num.values():
+                g = math.gcd(g, n)
+                if g == 1:
+                    break
+            if g != 1:
+                num = {e: n // g for e, n in num.items()}
+                den //= g
+        return cls._raw(context, num, den)
+
+    @property
+    def terms(self) -> dict:
+        """Exponent tuple -> Fraction coefficient, built on each read."""
+        return {e: Fraction(n, self.den) for e, n in self.num.items()}
 
     @classmethod
     def zero(cls, context: VarContext) -> "Polynomial":
@@ -239,16 +268,16 @@ class Polynomial:
 
     @classmethod
     def constant(cls, context: VarContext, value: Scalar) -> "Polynomial":
-        c = _coerce(value)
-        if not c:
+        n, d = _ratio(value)
+        if not n:
             return cls.zero(context)
-        return cls._raw(context, {(0,) * context.arity: c})
+        return cls._raw(context, {(0,) * context.arity: n}, d)
 
     @classmethod
     def variable(cls, context: VarContext, name: str) -> "Polynomial":
         i = context.index(name)
         exps = tuple(1 if j == i else 0 for j in range(context.arity))
-        return cls._raw(context, {exps: _ONE})
+        return cls._raw(context, {exps: 1})
 
     @classmethod
     def monomial(cls, context: VarContext, exps: Exponent, coeff: Scalar = 1) -> "Polynomial":
@@ -257,42 +286,42 @@ class Polynomial:
     # -- predicates and basic queries ------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self.num)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (zero for the zero polynomial)."""
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return next(iter(self.terms.values()), _ZERO)
+        return Fraction(next(iter(self.num.values()), 0), self.den)
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.num)
 
     def degree_in(self, name: str) -> int:
         i = self.context.index(name)
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.num)
 
     def variables_used(self) -> tuple:
         used = [False] * self.context.arity
-        for exps in self.terms:
+        for exps in self.num:
             for i, e in enumerate(exps):
                 if e:
                     used[i] = True
         return tuple(n for n, u in zip(self.context.names, used) if u)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.num)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -306,69 +335,53 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_context(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, _ZERO) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return Polynomial._raw(self.context, out)
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_context(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, _ZERO) - c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return Polynomial._raw(self.context, out)
+        return _sum(self, other, -1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw(self.context, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(self.context, {e: -n for e, n in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            if not c:
+            n, d = _ratio(other)
+            if not n:
                 return Polynomial.zero(self.context)
-            return Polynomial._raw(
-                self.context, {e: v * c for e, v in self.terms.items()}
+            return Polynomial._make(
+                self.context, {e: v * n for e, v in self.num.items()}, self.den * d
             )
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_context(other)
-        a, b = self.terms, other.terms
+        a, b = self.num, other.num
         if len(a) < len(b):
             a, b = b, a
+        den = self.den * other.den
         if len(b) <= 1:
             if not b:
                 return Polynomial.zero(self.context)
             ((e, c),) = b.items()
-            return Polynomial._raw(
-                self.context, {tuple(map(add, e1, e)): v * c for e1, v in a.items()}
+            return Polynomial._make(
+                self.context, {tuple(map(add, e1, e)): v * c for e1, v in a.items()}, den
             )
-        a, da = _cleared(a)
-        b, db = _cleared(b)
         shifts, mask = _layout(
             self.context.arity, max(map(max, a)) + max(map(max, b))
         )
         product = _mul_ints(_packed(a, shifts), _packed(b, shifts))
-        return _unpacked(self.context, product, da * db, shifts, mask)
+        return _unpacked(self.context, product, den, shifts, mask)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        c = _coerce(scalar)
-        if not c:
+        if not scalar:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return self * (1 / c)
+        return self * (1 / Fraction(scalar))
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
@@ -386,12 +399,12 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.context == other.context and self.terms == other.terms
+        return (self.context, self.den, self.num) == (other.context, other.den, other.num)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.context, frozenset(self.terms.items())))
+            h = hash((self.context, self.den, frozenset(self.num.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -401,25 +414,19 @@ class Polynomial:
         """Formal partial derivative with respect to one context variable."""
         i = self.context.index(name)
         out = {}
-        for exps, c in self.terms.items():
+        for exps, n in self.num.items():
             e = exps[i]
-            if not e:
-                continue
-            reduced = exps[:i] + (e - 1,) + exps[i + 1 :]
-            v = out.get(reduced, _ZERO) + c * e
-            if v:
-                out[reduced] = v
-            else:
-                out.pop(reduced, None)
-        return Polynomial._raw(self.context, out)
+            if e:
+                out[exps[:i] + (e - 1,) + exps[i + 1 :]] = n * e
+        return Polynomial._make(self.context, out, self.den)
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Evaluate at polynomial images, one per context variable.
 
         All images must share a single target context; the result lives there.
 
-        With self == num / den and image j == nums[j] / dens[j] cleared to
-        integers, scaling each term c of num to c' = c * prod_j dens[j] **
+        With self == num / den and image j == nums[j] / dens[j] in stored
+        form, scaling each term c of num to c' = c * prod_j dens[j] **
         (degs[j] - e[j]) puts the whole result over the one denominator
         den * prod_j dens[j] ** degs[j], with integer numerator N = sum c' *
         prod_j nums[j] ** e[j].  Every value below is a row map: packed key
@@ -444,16 +451,16 @@ class Polynomial:
                 raise ContextMismatchError(
                     "substitution images live in different contexts"
                 )
-        if not self.terms:
+        if not self.num:
             return Polynomial.zero(target)
-        num, den = _cleared(self.terms)
-        nums, dens = zip(*(_cleared(im.terms) for im in imgs))
-        degs = [max(e[j] for e in num) for j in range(len(imgs))]
+        den = self.den
+        dens = [im.den for im in imgs]
+        degs = [max(e[j] for e in self.num) for j in range(len(imgs))]
         h = degs.index(max(degs))
-        norms = [sum(map(abs, n.values())) for n in nums]
+        norms = [sum(map(abs, im.num.values())) for im in imgs]
         height = 0
-        for exps in num:
-            c = num[exps]
+        num = {}
+        for exps, c in self.num.items():
             for j, e in enumerate(exps):
                 if dens[j] != 1:
                     c *= dens[j] ** (degs[j] - e)
@@ -465,7 +472,7 @@ class Polynomial:
             target.arity - 1,
             self.total_degree() * max(im.total_degree() for im in imgs),
         )
-        nums = [_rows(n, shifts, width) for n in nums]
+        nums = [_rows(im.num, shifts, width) for im in imgs]
         unit = {0: 1}
         powers = [[unit] for _ in imgs]
 
@@ -500,20 +507,19 @@ class Polynomial:
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a rational point."""
-        total = _ZERO
-        names = self.context.names
         vals = []
-        for n in names:
+        for n in self.context.names:
             if n not in point:
                 raise MissingAssignmentError(f"no value given for {n!r}")
-            vals.append(_coerce(point[n]))
-        for exps, c in self.terms.items():
+            vals.append(Fraction(*_ratio(point[n])))
+        total = 0
+        for exps, c in self.num.items():
             v = c
             for x, e in zip(vals, exps):
                 if e:
                     v *= x**e
             total += v
-        return total
+        return Fraction(total, self.den)
 
     # -- normal forms -----------------------------------------------------
 
@@ -525,47 +531,37 @@ class Polynomial:
         positive lex-leading coefficient.  The zero polynomial returns
         ``(Fraction(0), self)``.
         """
-        if not self.terms:
+        num = self.num
+        if not num:
             return _ZERO, self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        if self.terms[max(self.terms)] < 0:
-            num_gcd = -num_gcd
-        # c / content = n * (den_lcm / d) / num_gcd, an exact integer
-        prim = Polynomial._raw(
-            self.context,
-            {
-                e: Fraction(c.numerator * (den_lcm // c.denominator) // num_gcd)
-                for e, c in self.terms.items()
-            },
-        )
-        return Fraction(num_gcd, den_lcm), prim
+        g = math.gcd(*num.values())
+        if num[max(num)] < 0:
+            g = -g
+        if g == 1 and self.den == 1:
+            return Fraction(1), self
+        prim = Polynomial._raw(self.context, {e: n // g for e, n in num.items()})
+        return Fraction(g, self.den), prim
 
     def normalized(self) -> "Polynomial":
         """Canonical unit normalization (primitive, positive lex lead)."""
-        if not self.terms:
-            return self
         return self.content_and_primitive()[1]
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact division; raises ExactDivisionError when it does not divide.
 
-        Both operands are cleared to integers, self == A / da and divisor ==
-        c * M / dm with M primitive, and A is divided by M on packed keys,
-        popping the lex-largest remaining term at each step.  If M divides A
-        over Q, the quotient Q lies in Z[x] by Gauss's lemma: write
-        Q = r * Q0 with r rational and Q0 primitive; Q0 * M is primitive, so
-        r is the content of A up to sign, an integer.  Long division emits
-        the terms of Q one by one, so a step whose coefficient is not a
-        multiple of the leading coefficient of M proves that M does not
-        divide A.  So does a quotient term above deg A - deg M in some
-        variable, the degrees of an exact quotient.  The result is Q times
-        the one scalar dm / (da * c).  A one-term divisor is an exponent
-        shift instead, which divides exactly when every term of self is a
-        multiple of its monomial.
+        With self == A / da and divisor == c * M / dm in stored form, M
+        primitive, A is divided by M on packed keys, popping the
+        lex-largest remaining term at each step.  If M divides A over Q,
+        the quotient Q lies in Z[x] by Gauss's lemma: write Q = r * Q0 with
+        r rational and Q0 primitive; Q0 * M is primitive, so r is the
+        content of A up to sign, an integer.  Long division emits the terms
+        of Q one by one, so a step whose coefficient is not a multiple of
+        the leading coefficient of M proves that M does not divide A.  So
+        does a quotient term above deg A - deg M in some variable, the
+        degrees of an exact quotient.  The result is Q times the one scalar
+        dm / (da * c).  A one-term divisor is an exponent shift instead,
+        which divides exactly when every term of self is a multiple of its
+        monomial.
         """
         if not isinstance(divisor, Polynomial):
             raise TypeError("exact_div expects a Polynomial divisor")
@@ -574,17 +570,17 @@ class Polynomial:
             raise ZeroDivisionError("exact division by the zero polynomial")
         if self.is_zero():
             return self
-        if len(divisor.terms) == 1:
-            ((ed, cd),) = divisor.terms.items()
+        a, da = self.num, self.den
+        m, dm = divisor.num, divisor.den
+        if len(m) == 1:
+            ((ed, cd),) = m.items()
             out = {}
-            for e, c in self.terms.items():
+            for e, n in a.items():
                 q = tuple(map(sub, e, ed))
                 if min(q) < 0:
                     raise ExactDivisionError(f"{divisor} does not divide exactly")
-                out[q] = c / cd
-            return Polynomial._raw(self.context, out)
-        a, da = _cleared(self.terms)
-        m, dm = _cleared(divisor.terms)
+                out[q] = n * dm
+            return Polynomial._make(self.context, out, da * cd)
         cm = math.gcd(*m.values())
         # an exact quotient has degree deg A - deg M in each variable, and
         # with its terms below that every key the remainder reaches stays
@@ -658,7 +654,7 @@ class Polynomial:
             else:
                 pos.append(-1)
         out = {}
-        for exps, c in self.terms.items():
+        for exps, c in self.num.items():
             new = [0] * target.arity
             for i, e in enumerate(exps):
                 if not e:
@@ -672,17 +668,18 @@ class Polynomial:
             if key in out:
                 raise ValueError("rename map collapses two used variables")
             out[key] = c
-        return Polynomial._raw(target, out)
+        return Polynomial._raw(target, out, self.den)
 
     # -- printing -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms if self.den != 1 else self.num
+        if not terms:
             return "0"
         names = self.context.names
         pieces = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
+        for exps in sorted(terms):
+            c = terms[exps]
             mono = []
             for n, e in zip(names, exps):
                 if e == 1:
@@ -739,44 +736,23 @@ def jacobian_det(p: Polynomial, q: Polynomial) -> JacobianInfo:
     return JacobianInfo(det, "nonconstant", None)
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """gcd on Q: gcd of numerators over lcm of denominators, non-negative."""
-    num = math.gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
 def _coeffs_in(p: Polynomial, i: int) -> dict:
     """View p as univariate in variable index i: degree -> coefficient poly."""
     out: dict = {}
-    for exps, c in p.terms.items():
-        e = exps[i]
-        stripped = exps[:i] + (0,) + exps[i + 1 :]
-        bucket = out.setdefault(e, {})
-        bucket[stripped] = bucket.get(stripped, _ZERO) + c
-    result = {}
-    for d, terms in out.items():
-        clean = {e: c for e, c in terms.items() if c}
-        if clean:
-            result[d] = Polynomial._raw(p.context, clean)
-    return result
+    for exps, n in p.num.items():
+        out.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1 :]] = n
+    return {d: Polynomial._make(p.context, num, p.den) for d, num in out.items()}
 
 
-def _from_list(context: VarContext, i: int, f: Sequence) -> Polynomial:
-    """The polynomial sum f[k] * x_i**k for a dense list of ints or Fractions."""
+def _from_list(context: VarContext, i: int, f: Sequence[int]) -> Polynomial:
+    """The polynomial sum f[k] * x_i**k for a dense list of ints."""
     base = [0] * context.arity
-    terms = {}
+    num = {}
     for k, c in enumerate(f):
-        base[i] = k
-        terms[tuple(base)] = c
-    return Polynomial(context, terms)
-
-
-def _int_content(p: Polynomial) -> int:
-    g = 0
-    for c in p.terms.values():
-        g = math.gcd(g, c.numerator)
-    return g
+        if c:
+            base[i] = k
+            num[tuple(base)] = c
+    return Polynomial._raw(context, num)
 
 
 def _gcd_many(polys) -> Polynomial:
@@ -791,24 +767,17 @@ def _gcd_many(polys) -> Polynomial:
 
 def _gcd_int(a: Polynomial, b: Polynomial) -> Polynomial:
     """gcd of integer-coefficient polynomials, integer content included."""
-    if a.is_zero():
-        a, b = b, a
-    if b.is_zero():
-        if a.is_zero():
-            return a
-        return a.normalized() * _int_content(a)
-    ca = _int_content(a)
-    cb = _int_content(b)
-    cg = math.gcd(ca, cb)
-    g = _gcd_prim(a.normalized(), b.normalized())
-    return g * cg
+    cg = math.gcd(*a.num.values(), *b.num.values())
+    if a.is_zero() or b.is_zero():
+        return (a + b).normalized() * cg
+    return _gcd_prim(a.normalized(), b.normalized()) * cg
 
 
 def _main_var(a: Polynomial, b: Polynomial) -> int:
     """Highest variable index occurring in either polynomial, or -1."""
     best = -1
     for p in (a, b):
-        for exps in p.terms:
+        for exps in p.num:
             for i in range(p.context.arity - 1, best, -1):
                 if exps[i]:
                     best = max(best, i)
@@ -833,7 +802,7 @@ def _prem(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
             ctx, tuple(dr - dg if j == i else 0 for j in range(ctx.arity))
         )
         r = lg * r - lr * shift * g
-        c = _int_content(r)
+        c = math.gcd(*r.num.values())
         if c > 1:
             r = r * Fraction(1, c)
     return r
@@ -848,7 +817,7 @@ def _split_var_content(p: Polynomial, i: int):
     lemma), with a positive lead. Coefficients in two or more variables
     take ``_gcd_many``.
     """
-    num, _ = _cleared(p.terms)
+    num = p.num
     others = {k for e in num for k, n in enumerate(e) if n and k != i}
     if len(others) > 1:
         cont = _gcd_many(list(_coeffs_in(p, i).values()))
@@ -876,15 +845,15 @@ def _gcd_prim(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_constant() or b.is_constant():
         return Polynomial.constant(a.context, 1)
     i = _main_var(a, b)
-    if all(e[i] == sum(e) for p in (a, b) for e in p.terms):
+    if all(e[i] == sum(e) for p in (a, b) for e in p.num):
         # one variable: every other exponent is 0, so the image at 1 is the
         # dense coefficient list, and gcd_z is primitive with a positive lead
-        h = uni.gcd_z(_eval_others(a.terms, i, 1), _eval_others(b.terms, i, 1))
+        h = uni.gcd_z(_eval_others(a.num, i, 1), _eval_others(b.num, i, 1))
         return _from_list(a.context, i, h)
     ca, pa = _split_var_content(a, i)
     cb, pb = _split_var_content(b, i)
     gamma = _gcd_int(ca, cb)
-    others = {k for p in (pa, pb) for e in p.terms for k, n in enumerate(e) if n and k != i}
+    others = {k for p in (pa, pb) for e in p.num for k, n in enumerate(e) if n and k != i}
     g = _gcd_heu(pa, pb, i, others.pop()) if len(others) == 1 else None
     if g is None:
         g = _gcd_prs(pa, pb, i)
@@ -912,8 +881,7 @@ def _gcd_heu(a: Polynomial, b: Polynomial, i: int, j: int) -> Optional[Polynomia
     points; None when no point gives a candidate that divides both inputs.
     """
     ctx = a.context
-    na, _ = _cleared(a.terms)
-    nb, _ = _cleared(b.terms)
+    na, nb = a.num, b.num
     da = max(e[i] for e in na)
     db = max(e[i] for e in nb)
     xi = 2 * min(max(map(abs, na.values())), max(map(abs, nb.values()))) + 29
@@ -942,14 +910,14 @@ def _eval_others(num: Mapping[Exponent, int], i: int, c: int) -> list:
     every other variable set to the integer c."""
     out = [0] * (max(e[i] for e in num) + 1)
     for e, v in num.items():
-        out[e[i]] += int(v) * c ** (sum(e) - e[i])
+        out[e[i]] += v * c ** (sum(e) - e[i])
     return uni.strip(out)
 
 
 def _xi_adic(context: VarContext, h: list, k: int, xi: int, i: int, j: int) -> Polynomial:
     """The polynomial in x_i, x_j whose image at x_j = xi is k * h, read off
     the symmetric xi-adic digits of each coefficient of k * h."""
-    terms = {}
+    num = {}
     half = xi // 2
     base = [0] * context.arity
     for d, c in enumerate(h):
@@ -961,10 +929,10 @@ def _xi_adic(context: VarContext, h: list, k: int, xi: int, i: int, j: int) -> P
             if r > half:
                 r -= xi
             if r:
-                terms[tuple(base)] = Fraction(r)
+                num[tuple(base)] = r
             c = (c - r) // xi
             base[j] += 1
-    return Polynomial._raw(context, terms)
+    return Polynomial._raw(context, num)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -1004,7 +972,11 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return a.normalized()
     ca, pa = a.content_and_primitive()
     cb, pb = b.content_and_primitive()
-    return _frac_gcd(ca, cb) * _gcd_prim(pa, pb)
+    # gcd on Q: gcd of the numerators over the lcm of the denominators
+    content = Fraction(
+        math.gcd(ca.numerator, cb.numerator), math.lcm(ca.denominator, cb.denominator)
+    )
+    return content * _gcd_prim(pa, pb)
 
 
 # -- plane endomorphisms --------------------------------------------------

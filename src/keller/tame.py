@@ -199,11 +199,13 @@ class TameCertificate:
 
 
 def _top_form(p: Polynomial, degree: int) -> dict:
-    return {e: c for e, c in p.terms.items() if sum(e) == degree}
+    """The numerators of the terms of the given total degree."""
+    return {e: n for e, n in p.num.items() if sum(e) == degree}
 
 
 def _reduction(hi: Polynomial, lo: Polynomial):
-    """(c, k, lo**k) with top(hi) == c * top(lo)**k, or None."""
+    """(c, k, lo**k) with top(hi) == c * top(lo)**k, or None; on numerators,
+    where the denominators cancel, top[e] * ref[lead] == top[lead] * ref[e]."""
     dh, dl = hi.total_degree(), lo.total_degree()
     if dl < 1 or dh % dl:
         return None
@@ -213,10 +215,10 @@ def _reduction(hi: Polynomial, lo: Polynomial):
     lead = max(top)
     if len(top) != len(ref) or lead not in ref:
         return None
-    c = top[lead] / ref[lead]
-    if any(ref.get(e, 0) * c != a for e, a in top.items()):
+    a, b = top[lead], ref[lead]
+    if any(ref.get(e, 0) * a != n * b for e, n in top.items()):
         return None
-    return c, k, power
+    return Fraction(a * power.den, b * hi.den), k, power
 
 
 def decompose(f: Endomorphism) -> Optional[TameCertificate]:
@@ -272,7 +274,8 @@ def decompose(f: Endomorphism) -> Optional[TameCertificate]:
             b = b - a**k * c
             steps.append(ElementaryX(-c, k))
     (pa, pb, pe), (qc, qd, qf) = (
-        [r.terms.get(e, Fraction(0)) for e in ((1, 0), (0, 1), (0, 0))] for r in (p, q)
+        [Fraction(r.num.get(e, 0), r.den) for e in ((1, 0), (0, 1), (0, 0))]
+        for r in (p, q)
     )
     affine = Affine(pa, pb, qc, qd, pe, qf)
     if not affine.determinant():

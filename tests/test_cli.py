@@ -115,6 +115,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # int() of more than 4300 digits raised ValueError here
+            (["check", "-p", "7" * 4400 + "*x", "-q", "y"], "a numeral of 4400 digits"),
+            # this parsed, and printing its 4800-digit coefficient raised
+            (["factor", "-e", "*".join(["7" * 1200] * 4) + "*x"], "(at position 1201)"),
+        ],
+    )
+    def test_long_numeral_is_two(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_unknown_variable_is_two(self, capsys):
         code, _, err = run(capsys, ["check", "-p", "x + w", "-q", "y"])
         assert code == 2
@@ -406,6 +420,18 @@ class TestBatch:
             "[2] y ; x -> Automorphism",
         ]
         assert len(json.loads(report.read_text())) == 2
+
+    def test_long_numeral_line_does_not_abort_the_batch(self, capsys, tmp_path):
+        batch = tmp_path / "maps.txt"
+        batch.write_text(f"x ; y + x^2\n{'7' * 4400}*x ; y\ny ; x\n")
+        code, out, _ = run(capsys, ["check", "--batch", str(batch)])
+        assert code == 2
+        assert out.splitlines() == [
+            "[0] x ; y + x^2 -> Automorphism",
+            "[1] parse error: a numeral of 4400 digits is above the cap of 4096 bits"
+            " (at position 0)",
+            "[2] y ; x -> Automorphism",
+        ]
 
     def test_deep_nesting_line_does_not_abort_the_batch(self, capsys, tmp_path):
         batch = tmp_path / "maps.txt"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keller.errors import ParseError, UnknownVariableError
+from keller.groebner import MAX_COEFF_BITS
 from keller.parsing import (
     MAX_EXPANDED_DEGREE,
     MAX_NESTING,
@@ -22,6 +23,8 @@ from oracles import expressions
 
 X = Polynomial.variable(XY, "x")
 Y = Polynomial.variable(XY, "y")
+# 1200 digits, 3986 bits: within the coefficient cap, its square is not
+_A = int("7" * 1200)
 
 
 def random_poly(rng, ctx, max_degree=4, max_terms=6):
@@ -233,6 +236,55 @@ class TestErrors:
     def test_work_under_the_cap_parses(self):
         assert len(parse_poly("(x+y+1)^100", XY).terms) == 5151
         assert parse_poly("(0)^1000000000 + (2)^10", XY).constant_value() == 1024
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("7" * 4400 + "*x", 0),
+            ("x + 1/" + "7" * 4400, 6),
+            ("x^" + "7" * 4400, 2),
+        ],
+    )
+    def test_long_numerals_are_refused_before_conversion(self, text, position):
+        # int() of more than 4300 digits raises ValueError in CPython
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, XY)
+        assert exc.value.message == (
+            f"a numeral of 4400 digits is above the cap of {MAX_COEFF_BITS} bits"
+        )
+        assert exc.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, big, position",
+        [
+            # a numeral one bit past the cap
+            (str(1 << MAX_COEFF_BITS), 1 << MAX_COEFF_BITS, 0),
+            # a term coefficient, at the factor that takes it past the cap
+            (f"{_A}*{_A}*{_A}*{_A}*x", _A**2, 1201),
+            (f"2/{_A}*x*1/{_A}", _A**2, 1205),
+            # a term times a parenthesized sum, at the start of the term
+            (f"y + {_A}*({_A}*x + 1)", _A**2, 4),
+            # like terms summed over two denominators
+            (f"1/{_A}*x + 1/{_A + 1}*x", _A * (_A + 1), 1207),
+            # a product of parenthesized factors, at its second '('
+            (f"({_A}*x + 1)*({_A}*x - 1)", _A**2, 1209),
+        ],
+    )
+    def test_coefficients_are_capped_where_built(self, text, big, position):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, XY)
+        assert exc.value.message == (
+            f"a coefficient of {big.bit_length()} bits is above the cap of {MAX_COEFF_BITS} bits"
+        )
+        assert exc.value.position == position
+
+    def test_coefficients_at_the_cap_parse(self):
+        top = (1 << MAX_COEFF_BITS) - 1
+        assert parse_poly(str(top), XY).constant_value() == top
+        assert parse_poly(f"1/{top}*x", XY) == X / top
+        # leading zeros are not significant digits
+        assert parse_poly("0" * 5000 + "7*x", XY) == 7 * X
+        assert parse_poly("x^" + "0" * 5000 + "2", XY) == X**2
 
     def test_first_error_met_wins(self):
         # one pass: an unknown name read before a syntax error is reported

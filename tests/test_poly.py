@@ -37,6 +37,7 @@ from oracles import (
     _b_row,
     _u_gcd,
     _u_mul,
+    expressions,
     reference_mul,
     reference_substitute,
 )
@@ -91,6 +92,52 @@ def images(source, target):
     return st.fixed_dictionaries(
         {n: polys(target, max_degree=2, max_terms=4) for n in source.names}
     )
+
+
+def assert_canonical(p):
+    """The stored form: a positive denominator, no zero numerator, no factor
+    shared by the denominator and every numerator, and the same polynomial,
+    hash included, when rebuilt from its Fraction terms."""
+    assert p.den > 0
+    assert all(p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    rebuilt = Polynomial(p.context, p.terms)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+class TestCanonicalForm:
+    @given(st.sampled_from([XY, U123]).flatmap(expressions))
+    def test_parse(self, case):
+        text, value = case
+        assert_canonical(parse_poly(text, value.context))
+
+    @given(polys(XY), polys(XY), COEFFS, st.integers(0, 3))
+    def test_ring_operations(self, a, b, c, n):
+        for p in (a + b, a - b, -a, a * b, a * c, c * a, a * 3, a / 3, a**n):
+            assert_canonical(p)
+        if c:
+            assert_canonical(a / c)
+
+    @given(polys(U123))
+    def test_diff_reindex_and_content(self, p):
+        for name in U123.names:
+            assert_canonical(p.diff(name))
+        assert_canonical(p.reindex(_TAG_CTX, {"u1": "y", "u2": "x", "u3": "u1"}))
+        content, prim = p.content_and_primitive()
+        assert_canonical(prim)
+        assert prim.den == 1 and content * prim == p
+
+    @given(polys(U12), images(U12, XY))
+    def test_substitute(self, p, imgs):
+        assert_canonical(p.substitute(imgs))
+
+    @given(polys(XY), polys(XY), COEFFS)
+    def test_exact_div(self, a, b, c):
+        assume(b)
+        assert_canonical((a * b).exact_div(b))
+        # a one-term divisor takes the exponent-shift path
+        m = Polynomial.monomial(XY, (1, 2), c or 1)
+        assert_canonical((a * m).exact_div(m))
 
 
 class TestVarContext:
