@@ -46,8 +46,8 @@ from .poly import (
     VarContext,
     _eval_others,
     _from_list,
+    _gcd_cofactors,
     _split_var_content,
-    poly_gcd,
 )
 
 DEFAULT_FACTOR_DEGREE_CAP = 10
@@ -91,25 +91,18 @@ def _squarefree_rec(f: Polynomial) -> List[Tuple[Polynomial, int]]:
 def _yun(prim: Polynomial, name: str) -> List[Tuple[Polynomial, int]]:
     """Yun's squarefree decomposition of prim, primitive in variable name."""
     out = []
-    d = prim.diff(name)
-    g = poly_gcd(prim, d)
+    g, w, y = _gcd_cofactors(prim, prim.diff(name))
     if g.is_constant():
         return [(prim.normalized(), 1)]
-    w = prim.exact_div(g)
-    y = d.exact_div(g)
     i = 1
     while w.total_degree() > 0:
         z = y - w.diff(name)
         if z.is_zero():
             out.append((w.normalized(), i))
             break
-        h = poly_gcd(w, z)
+        h, w, y = _gcd_cofactors(w, z)
         if not h.is_constant():
-            out.append((h.normalized(), i))
-            w = w.exact_div(h)
-            y = z.exact_div(h)
-        else:
-            y = z
+            out.append((h, i))
         i += 1
     return out
 
@@ -338,8 +331,7 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
     u = None
     point = None
     for c in _eval_points():
-        # each row at y = c, by Horner's rule
-        cand = [functools.reduce(lambda v, a: v * c + a, reversed(r), 0) for r in rows]
+        cand = [uni._horner(r, c) for r in rows]
         if uni.deg(uni.gcd_z(cand, uni.derivative(cand))) == 0:
             u, point = cand, c
             break

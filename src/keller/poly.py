@@ -770,7 +770,7 @@ def _gcd_int(a: Polynomial, b: Polynomial) -> Polynomial:
     cg = math.gcd(*a.num.values(), *b.num.values())
     if a.is_zero() or b.is_zero():
         return (a + b).normalized() * cg
-    return _gcd_prim(a.normalized(), b.normalized()) * cg
+    return _gcd_prim(a.normalized(), b.normalized())[0] * cg
 
 
 def _main_var(a: Polynomial, b: Polynomial) -> int:
@@ -840,24 +840,30 @@ def _split_var_content(p: Polynomial, i: int):
     return cont, prim
 
 
-def _gcd_prim(a: Polynomial, b: Polynomial) -> Polynomial:
-    """gcd of primitive integer polynomials, canonically normalized."""
+def _gcd_prim(a: Polynomial, b: Polynomial):
+    """gcd of primitive integer polynomials, canonically normalized, with
+    the cofactors a / gcd and b / gcd where the route proved them by
+    division on the way, else None for both."""
     if a.is_constant() or b.is_constant():
-        return Polynomial.constant(a.context, 1)
+        return Polynomial.constant(a.context, 1), a, b
     i = _main_var(a, b)
     if all(e[i] == sum(e) for p in (a, b) for e in p.num):
         # one variable: every other exponent is 0, so the image at 1 is the
         # dense coefficient list, and gcd_z is primitive with a positive lead
         h = uni.gcd_z(_eval_others(a.num, i, 1), _eval_others(b.num, i, 1))
-        return _from_list(a.context, i, h)
+        return _from_list(a.context, i, h), None, None
     ca, pa = _split_var_content(a, i)
     cb, pb = _split_var_content(b, i)
     gamma = _gcd_int(ca, cb)
     others = {k for p in (pa, pb) for e in p.num for k, n in enumerate(e) if n and k != i}
-    g = _gcd_heu(pa, pb, i, others.pop()) if len(others) == 1 else None
-    if g is None:
-        g = _gcd_prs(pa, pb, i)
-    return (gamma * g).normalized()
+    hit = _gcd_heu(pa, pb, i, others.pop()) if len(others) == 1 else None
+    if hit is None:
+        return (gamma * _gcd_prs(pa, pb, i)).normalized(), None, None
+    g, qa, qb = hit
+    if gamma.is_constant():
+        return g, ca * qa, cb * qb
+    # gamma and g are primitive with positive lex leads, so is their product
+    return gamma * g, ca.exact_div(gamma) * qa, cb.exact_div(gamma) * qb
 
 
 def _gcd_prs(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
@@ -874,35 +880,33 @@ def _gcd_prs(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
     return f.normalized()
 
 
-def _gcd_heu(a: Polynomial, b: Polynomial, i: int, j: int) -> Optional[Polynomial]:
+def _gcd_heu(a: Polynomial, b: Polynomial, i: int, j: int):
     """gcd of two polynomials primitive in variable i, with j the only other.
 
-    The heuristic gcd of Char, Geddes and Gonnet (1989), tried at a few
-    points; None when no point gives a candidate that divides both inputs.
+    The heuristic gcd of Char, Geddes and Gonnet (1989), tried at the
+    points of ``uni._xi_points``; returns (g, a / g, b / g), g canonically
+    normalized and the quotients those of its proof by exact division, or
+    None when no point gives a candidate that divides both inputs.
     """
     ctx = a.context
     na, nb = a.num, b.num
     da = max(e[i] for e in na)
     db = max(e[i] for e in nb)
-    xi = 2 * min(max(map(abs, na.values())), max(map(abs, nb.values()))) + 29
-    for _ in range(_HEU_TRIES):
+    for xi in uni._xi_points(max(map(abs, na.values())), max(map(abs, nb.values()))):
         ea = _eval_others(na, i, xi)
         eb = _eval_others(nb, i, xi)
         if len(ea) == da + 1 and len(eb) == db + 1:
             h = uni.gcd_z(ea, eb)
             if len(h) == 1:
-                return Polynomial.constant(ctx, 1)
+                return Polynomial.constant(ctx, 1), a, b
             k = math.gcd(uni.content(ea), uni.content(eb))
             # the leading digits are not all zero, so deg_i cand = deg h
-            cand = _split_var_content(_xi_adic(ctx, h, k, xi, i, j), i)[1]
-            if cand.divides(a) and cand.divides(b):
-                return cand.normalized()
-        xi = xi * 73794 // 27011
+            cand = _split_var_content(_xi_adic(ctx, h, k, xi, i, j), i)[1].normalized()
+            try:
+                return cand, a.exact_div(cand), b.exact_div(cand)
+            except ExactDivisionError:
+                pass
     return None
-
-
-# evaluation points tried by _gcd_heu before it gives way to the PRS
-_HEU_TRIES = 4
 
 
 def _eval_others(num: Mapping[Exponent, int], i: int, c: int) -> list:
@@ -918,20 +922,13 @@ def _xi_adic(context: VarContext, h: list, k: int, xi: int, i: int, j: int) -> P
     """The polynomial in x_i, x_j whose image at x_j = xi is k * h, read off
     the symmetric xi-adic digits of each coefficient of k * h."""
     num = {}
-    half = xi // 2
     base = [0] * context.arity
     for d, c in enumerate(h):
-        c *= k
         base[i] = d
-        base[j] = 0
-        while c:
-            r = c % xi
-            if r > half:
-                r -= xi
+        for e, r in enumerate(uni._xi_digits(c * k, xi)):
             if r:
+                base[j] = e
                 num[tuple(base)] = r
-            c = (c - r) // xi
-            base[j] += 1
     return Polynomial._raw(context, num)
 
 
@@ -976,7 +973,21 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     content = Fraction(
         math.gcd(ca.numerator, cb.numerator), math.lcm(ca.denominator, cb.denominator)
     )
-    return content * _gcd_prim(pa, pb)
+    return content * _gcd_prim(pa, pb)[0]
+
+
+def _gcd_cofactors(a: Polynomial, b: Polynomial):
+    """(g, a / g, b / g) for nonzero a and b, with g the canonically
+    normalized ``poly_gcd(a, b)``. The quotients of the heuristic gcd's
+    proof are kept; other routes divide here."""
+    ca, pa = a.content_and_primitive()
+    cb, pb = b.content_and_primitive()
+    g, qa, qb = _gcd_prim(pa, pb)
+    if g.is_constant():
+        return g, a, b
+    if qa is None:
+        qa, qb = pa.exact_div(g), pb.exact_div(g)
+    return g, qa * ca, qb * cb
 
 
 # -- plane endomorphisms --------------------------------------------------

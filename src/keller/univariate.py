@@ -3,9 +3,18 @@
 Polynomials are dense lists, ascending degree, no trailing zeros. This
 module is the package's one home for that format: one helper per
 operation and coefficient domain (Z and Q share `add`/`sub`/`mul`/`strip`,
-Q has `_divmod_q`/`_xgcd_q`, Z/m has `_mod`/`_mul_mod`/`_divmod_mod`), and
+Z has the exact division `_quo_z` and the gcd `gcd_z`, Q has
+`_divmod_q`/`_xgcd_q`, Z/m has `_mod`/`_mul_mod`/`_divmod_mod`), and
 the one Zassenhaus subset-recombination loop `_recombine`, which the
-bivariate factorizer in `factor.py` shares.
+bivariate factorizer in `factor.py` shares. `_divmod_q` serves only
+`_xgcd_q`, the Bezout cofactors that seed the Hensel lift.
+
+`gcd_z` is the heuristic gcd of Char, Geddes and Gonnet (1989): one
+integer gcd of the two inputs' values at a large point, read back as a
+polynomial and checked by exact division in Z[x]. Its evaluation points,
+`_xi_points`, are shared with the two-variable heuristic in `poly.py`;
+the primitive pseudo-remainder sequence `_gcd_prs` runs only when every
+point fails.
 
 Factorization takes a squarefree input, since `factor.py` splits off the
 squarefree parts first. The pipeline is classical: distinct factors modulo
@@ -128,6 +137,68 @@ def _xgcd_q(f: list, g: list) -> Tuple[List[Fraction], List[Fraction]]:
     return [c * inv for c in s0], [c * inv for c in t0]
 
 
+def _quo_z(f: IntPoly, g: IntPoly):
+    """f / g when g != 0 divides f in Z[x], else None.
+
+    Long division from the top: each quotient coefficient is the current
+    leading coefficient over lc(g), so the first one that is not a
+    multiple of lc(g) proves that no quotient exists in Z[x].
+    """
+    dg = len(g) - 1
+    n = len(f) - dg
+    if n <= 0:
+        return None if f else []
+    r = list(f)
+    lg = g[-1]
+    q = [0] * n
+    for k in range(n - 1, -1, -1):
+        c, rem = divmod(r[k + dg], lg)
+        if rem:
+            return None
+        if c:
+            q[k] = c
+            for i in range(dg):
+                r[k + i] -= c * g[i]
+    return None if any(r[:dg]) else q
+
+
+def _horner(f: IntPoly, x: int) -> int:
+    """f(x), by Horner's rule."""
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+    return v
+
+
+def _xi_digits(c: int, xi: int) -> IntPoly:
+    """The symmetric xi-adic digits of c, lowest first: each lies in
+    (-xi/2, xi/2], and _horner(digits, xi) == c."""
+    half = xi // 2
+    out = []
+    while c:
+        r = c % xi
+        if r > half:
+            r -= xi
+        out.append(r)
+        c = (c - r) // xi
+    return out
+
+
+# evaluation points tried by each heuristic gcd (gcd_z, and poly._gcd_heu in
+# two variables) before it gives way to its primitive PRS
+_HEU_TRIES = 4
+
+
+def _xi_points(height_a: int, height_b: int):
+    """The evaluation points of a heuristic gcd of two inputs with these
+    coefficient heights: 2 * min(height_a, height_b) + 29 first, then each
+    point about 2.73 times the last."""
+    xi = 2 * min(height_a, height_b) + 29
+    for _ in range(_HEU_TRIES):
+        yield xi
+        xi = xi * 73794 // 27011
+
+
 def _prem(f: IntPoly, g: IntPoly) -> IntPoly:
     """Pseudo-remainder with content stripping along the way."""
     r = list(f)
@@ -143,20 +214,47 @@ def _prem(f: IntPoly, g: IntPoly) -> IntPoly:
     return r
 
 
-def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:
-    """gcd of the primitive parts, positive leading coefficient."""
-    a = primitive(list(f)) if f else []
-    b = primitive(list(g)) if g else []
-    if not a:
-        return b
-    if not b:
-        return a
+def _gcd_prs(a: IntPoly, b: IntPoly) -> IntPoly:
+    """gcd of two nonzero primitive polynomials by the primitive PRS."""
     if deg(a) < deg(b):
         a, b = b, a
     while b:
         r = _prem(a, b)
         a, b = b, primitive(r) if r else []
     return primitive(a)
+
+
+def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:
+    """gcd of the primitive parts, positive leading coefficient.
+
+    The heuristic gcd: with a and b the primitive parts, both nonzero, and
+    |a|_inf the smaller height, take h = gcd(a(xi), b(xi)) at an integer
+    xi >= 2 * |a|_inf + 29, and read the candidate G off the symmetric
+    xi-adic digits of h, so G(xi) == h and no coefficient of G exceeds
+    xi / 2 in size. By Cauchy's bound every complex root of a lies within
+    |a|_inf + 1 of 0, so a nonconstant integer Q that divides a has
+    |Q(xi)| >= xi - |a|_inf - 1 > xi / 2. In particular a(xi) != 0, so
+    h != 0. If the primitive part P of G divides a and b exactly, it
+    divides their gcd D = P * Q, and D(xi) divides h = c * P(xi), c the
+    content of G; so |Q(xi)| <= |c| <= xi / 2, Q is a constant, and P is
+    the gcd. A constant G gives P = 1, which divides everything: the gcd
+    is 1 with no division. A failed candidate is followed by the larger
+    points of `_xi_points`, and after `_HEU_TRIES` of them by the
+    primitive PRS, which needs no check.
+    """
+    a = primitive(f)
+    b = primitive(g)
+    if not a:
+        return b
+    if not b:
+        return a
+    for xi in _xi_points(max(map(abs, a)), max(map(abs, b))):
+        cand = primitive(_xi_digits(math.gcd(_horner(a, xi), _horner(b, xi)), xi))
+        if len(cand) == 1:
+            return cand
+        if _quo_z(a, cand) is not None and _quo_z(b, cand) is not None:
+            return cand
+    return _gcd_prs(a, b)
 
 
 # -- arithmetic modulo m ----------------------------------------------------------
@@ -448,8 +546,11 @@ def factor_squarefree_monic(f: IntPoly) -> List[IntPoly]:
         cand = _symmetric(cand, m)
         if not cand or cand[-1] != 1:
             return None
-        q, r = _divmod_q(current, cand)
-        return None if r else (cand, [c.numerator for c in q])
+        # a monic factor's constant term divides that of current
+        if current[0] % cand[0] if cand[0] else current[0]:
+            return None
+        q = _quo_z(current, cand)
+        return None if q is None else (cand, q)
 
     result, current = _recombine(len(lifted), list(f), trial)
     if deg(current) >= 1:

@@ -845,6 +845,26 @@ class TestHeuristicGcd:
             assert (poly._gcd_heu(p, q, 1, 0) is not None) == heuristic_answers
             assert poly_gcd(p, q) == prs_gcd(p, q) == gcd
 
+    @given(st.one_of(planted_gcd_pairs().map(lambda t: t[:2]), st.tuples(polys(XY), polys(XY))))
+    def test_cofactors(self, pair):
+        a, b = pair
+        assume(a and b)
+        g, qa, qb = poly._gcd_cofactors(a, b)
+        assert g == poly_gcd(a, b).normalized()
+        assert g * qa == a and g * qb == b
+
+    def test_cofactors_are_the_heuristic_proofs_quotients(self):
+        # the first candidate is rejected, the second proved by two
+        # divisions whose quotients are the cofactors: no third division
+        a = parse_poly("(y + x)*(y - x)", XY)
+        b = parse_poly("(y + x)*(y - 2*x + 31)", XY)
+        with mock.patch.object(
+            Polynomial, "exact_div", autospec=True, side_effect=Polynomial.exact_div
+        ) as spy:
+            g, qa, qb = poly._gcd_cofactors(a, b)
+        assert g == parse_poly("y + x", XY)
+        assert [c.args[1] for c in spy.call_args_list].count(g) == 2
+
 
 class TestPrinting:
     @pytest.mark.parametrize(

@@ -3,17 +3,19 @@
 Coefficient lists are ascending: [c0, c1, ..., cn] stands for c0 + c1 x + ...
 """
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from keller import univariate as uni
 from keller.factor import squarefree_decomposition
 from keller.poly import U12, Polynomial
 
-from oracles import _u_exact_div, reference_factor_univariate
+from oracles import _u_exact_div, _u_gcd, _u_int_primitive, reference_factor_univariate
 
 
 def squarefree(f):
@@ -65,7 +67,19 @@ class TestArithmetic:
         assert uni.primitive([-2, -4]) == [1, 2]
 
 
+# dense integer lists of degree at most 4, zero included
+small_lists = st.lists(st.integers(-12, 12), max_size=5).map(uni.strip)
+
+
+def reference_gcd(a, b):
+    """The oracle's monic gcd over Q in gcd_z's form: primitive, positive lead."""
+    return _u_int_primitive(_u_gcd(list(map(Fraction, a)), list(map(Fraction, b))))
+
+
 class TestGcd:
+    """gcd_z is the heuristic gcd checked by exact division; _gcd_prs is the
+    fallback no benchmark input reaches, so it is tested on its own."""
+
     def test_known_pair(self):
         f = uni.mul([1, 1], [2, 0, 1])
         g = uni.mul([1, 1], [-1, 1])
@@ -89,6 +103,87 @@ class TestGcd:
         assert uni.deg(g) >= uni.deg(uni.primitive(common)) - 1
         assert _u_exact_div(a, g) is not None
         assert _u_exact_div(b, g) is not None
+
+    @settings(max_examples=200, deadline=2000)
+    @given(small_lists, small_lists, small_lists)
+    def test_matches_oracle_with_a_planted_factor(self, a, b, c):
+        # c is the planted common factor; a, b and c may be constants or 0,
+        # and any of them may lead with a negative coefficient
+        a, b = uni.mul(a, c), uni.mul(b, c)
+        assert uni.gcd_z(a, b) == reference_gcd(a, b)
+
+    @settings(max_examples=100, deadline=2000)
+    @given(small_lists, small_lists, small_lists)
+    def test_prs_fallback_matches_oracle(self, a, b, c):
+        a, b = uni.mul(a, c), uni.mul(b, c)
+        assume(a and b)
+        assert uni._gcd_prs(uni.primitive(a), uni.primitive(b)) == reference_gcd(a, b)
+
+    def test_every_point_failing_falls_back_to_the_prs(self, monkeypatch):
+        a = uni.mul([1, 1], [-3, 0, 2])
+        b = uni.mul([1, 1], [5, -1])
+        monkeypatch.setattr(uni, "_quo_z", lambda f, g: None)
+        assert uni.gcd_z(a, b) == [1, 1]
+
+    def test_a_failed_point_is_followed_by_the_next(self):
+        a, b = [81, 27, -4], [18, -1, -4]
+        xi = next(uni._xi_points(max(map(abs, a)), max(map(abs, b))))
+        h = math.gcd(uni._horner(a, xi), uni._horner(b, xi))
+        cand = uni.primitive(uni._xi_digits(h, xi))
+        assert uni.deg(cand) > 0
+        assert uni._quo_z(a, cand) is None or uni._quo_z(b, cand) is None
+        assert uni.gcd_z(a, b) == reference_gcd(a, b)
+
+    @pytest.mark.parametrize(
+        "f,g",
+        [
+            pytest.param([3], [-6, 9], id="constant"),
+            pytest.param([], [-4, 0, -2], id="zero_and_negative_lead"),
+            pytest.param([], [], id="both_zero"),
+            pytest.param([10**30, -(10**30) - 1, 1], [-(10**30), 1], id="large_root"),
+        ],
+    )
+    def test_edge_cases(self, f, g):
+        assert uni.gcd_z(f, g) == reference_gcd(f, g)
+
+    @pytest.mark.parametrize("c", [-7, 1, 12345])
+    def test_xi_digits_read_back(self, c):
+        digits = uni._xi_digits(c, 31)
+        assert uni._horner(digits, 31) == c
+        assert all(abs(d) <= 31 // 2 for d in digits)
+
+
+class TestExactDivisionZ:
+    def test_exact(self):
+        assert uni._quo_z(uni.mul([2, -1, 3], [-5, 0, 2]), [-5, 0, 2]) == [2, -1, 3]
+
+    def test_zero_dividend(self):
+        assert uni._quo_z([], [1, 1]) == []
+
+    def test_nonzero_remainder(self):
+        # x^2 + 1 = (x - 1)(x + 1) + 2
+        assert uni._quo_z([1, 0, 1], [1, 1]) is None
+
+    def test_leading_step_not_a_multiple(self):
+        # the first quotient coefficient of x^2 / (2x + 1) is 1/2
+        assert uni._quo_z([0, 0, 1], [1, 2]) is None
+
+    def test_exact_over_q_only(self):
+        # 2x + 1 = (4x + 2) / 2: exact in Q[x], not in Z[x]
+        assert uni._quo_z([1, 2], [2, 4]) is None
+
+    def test_divisor_of_higher_degree(self):
+        assert uni._quo_z([1, 1], [1, 0, 1]) is None
+
+    @settings(max_examples=100, deadline=2000)
+    @given(small_lists, small_lists)
+    def test_matches_oracle(self, f, g):
+        assume(g)
+        q = _u_exact_div(list(map(Fraction, f)), list(map(Fraction, g)))
+        want = None if q is None or any(c.denominator != 1 for c in q) else list(map(int, q))
+        assert uni._quo_z(f, g) == want
+        if f:
+            assert uni._quo_z(uni.mul(f, g), g) == f
 
 
 class TestSquarefree:
