@@ -28,7 +28,7 @@ from .errors import (
     UnknownVariableError,
     ZeroKernelError,
 )
-from .factor import factor_bivariate, localization_units_check
+from .factor import DEFAULT_FACTOR_DEGREE_CAP, factor_bivariate, localization_units_check
 from .funcfield import uv_decomposition
 from .groebner import (
     DEFAULT_MAX_DEGREE,
@@ -614,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("factor", help="factor a polynomial over Q")
     p.add_argument("-e", "--expr", required=True, help="polynomial to factor")
     p.add_argument("--vars", default="x,y", help="comma-separated variable names")
-    p.add_argument("--degree-cap", type=_budget, default=10)
+    p.add_argument("--degree-cap", type=_budget, default=DEFAULT_FACTOR_DEGREE_CAP)
     p.add_argument("--absolute", action="store_true",
                    help="certify absolute irreducibility per factor")
     _add_json(p)
@@ -623,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("units", help="unit-group membership check at v")
     _add_map_args(p)
     p.add_argument("-v", required=True, help="polynomial in u1, u2")
-    p.add_argument("--degree-cap", type=_budget, default=10)
+    p.add_argument("--degree-cap", type=_budget, default=DEFAULT_FACTOR_DEGREE_CAP)
     _add_shared(p)
     p.set_defaults(fn=_cmd_units)
 

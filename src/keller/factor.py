@@ -9,17 +9,21 @@ point on the second variable, factor the resulting univariate integer
 polynomial, Hensel-lift that split back to a factorization over Q[[y]] to
 enough precision, then recombine subsets by trial division. Non-monic
 inputs are handled with the usual leading-coefficient substitution trick.
-Dense univariate arithmetic (over Z, Q and Z/m) and the subset
+Dense univariate arithmetic (over Z and Z/m) and the subset
 recombination loop live in `univariate.py`. The lift runs on dense
 integer rows: a polynomial in x over Q[y]/(y**k) is a list over x-degree
 of integer lists over y-degree with one denominator, and products stop
-below y**k while they multiply. Recombination multiplies lifted factors
-and tests integrality on the same rows; only an integral candidate
-becomes a `Polynomial`, for the trial division.
+below y**k while they multiply; its Bezout seeds come from
+`univariate._xgcd_z` as integer lists over one denominator. Recombination
+multiplies lifted factors and tests integrality on the same rows; only an
+integral candidate becomes a `Polynomial` (`poly._from_rows`), for the
+trial division.
 
-On top of that sit the maps-level checks: does each irreducible factor of
-v keep a single irreducible image under f, and are all unit generators of
-the localized ring inside the image subalgebra.
+The absolute-irreducibility certificate counts the solutions of a linear
+system with `_nullity`, fraction-free over Z. On top of that sit the
+maps-level checks: does each irreducible factor of v keep a single
+irreducible image under f, and are all unit generators of the localized
+ring inside the image subalgebra.
 """
 
 from __future__ import annotations
@@ -39,13 +43,13 @@ from .errors import (
     InternalInconsistencyError,
 )
 from .groebner import RunStats, subring_membership
-from .linalg import nullity
 from .poly import (
     Endomorphism,
     Polynomial,
     VarContext,
     _eval_others,
     _from_list,
+    _from_rows,
     _gcd_cofactors,
     _split_var_content,
 )
@@ -228,21 +232,25 @@ def _lift_pair(F, g, h, s, t, m: int):
         t = _s_add(t, _s_add(_s_mul(t, b, k), _s_mul(c, g, k), k), k, -1)
 
 
-def _seed(f: list):
-    """The series of a list of ints or Fractions in x, constant in y."""
-    den = math.lcm(*(Fraction(c).denominator for c in f))
-    return [[int(c * den)] for c in f], den
+def _seed(f: List[int], den: int = 1):
+    """The series f / den, f an integer list in x, constant in y."""
+    return _reduced([[c] for c in f], den)
 
 
 def _lift_tree(F, parts: List[List[int]], m: int) -> list:
-    """Lift a univariate split of the series F mod y to one mod y**m."""
+    """Lift a univariate split of the series F mod y to one mod y**m.
+
+    The seeds s/d and t/d are the Bezout cofactors over Q of the two
+    halves with deg s < deg h0 and deg t < deg g0, which are unique, so the
+    lift sees the same series whichever way they are computed.
+    """
     if len(parts) == 1:
         return [F]
     k = len(parts) // 2
     g0 = functools.reduce(uni.mul, parts[:k])
     h0 = functools.reduce(uni.mul, parts[k:])
-    s, t = uni._xgcd_q(g0, h0)
-    g, h = _lift_pair(F, *map(_seed, (g0, h0, s, t)), m)
+    s, t, d = uni._xgcd_z(g0, h0)
+    g, h = _lift_pair(F, _seed(g0), _seed(h0), _seed(s, d), _seed(t, d), m)
     return _lift_tree(g, parts[:k], m) + _lift_tree(h, parts[k:], m)
 
 
@@ -256,19 +264,6 @@ def _factor_univariate_image(f: Polynomial, name: str) -> List[Polynomial]:
     # no other variable occurs, so the image at 1 is the dense list
     dense = _eval_others(f.num, vi, 1)
     return [_from_list(ctx, vi, g).normalized() for g in uni.factor_squarefree(dense)]
-
-
-def _from_rows(ctx: VarContext, xi: int, yi: int, rows: List[List[int]]) -> Polynomial:
-    """The polynomial sum rows[i][j] * x**i * y**j."""
-    base = [0] * ctx.arity
-    num = {}
-    for i, row in enumerate(rows):
-        base[xi] = i
-        for j, c in enumerate(row):
-            if c:
-                base[yi] = j
-                num[tuple(base)] = c
-    return Polynomial._raw(ctx, num)
 
 
 def _shifted(f: List[int], c: int) -> List[int]:
@@ -513,12 +508,36 @@ def absolute_irreducibility(f: Polynomial) -> Optional[bool]:
     # scaling a column by its denominator keeps the nullity
     monomials = sorted({e for col in columns for e in col.num})
     matrix = [[col.num.get(e, 0) for col in columns] for e in monomials]
-    dim = nullity(matrix)
+    dim = _nullity(matrix)
     if dim == 1:
         return True
     if dim >= 2:
         return False
     return None
+
+
+def _nullity(matrix: List[List[int]]) -> int:
+    """Dimension of the nullspace of a dense integer matrix.
+
+    Fraction-free elimination (after Bareiss, Math. Comp. 1968, dividing
+    by the content instead of the previous pivot): with pivot a in column
+    j, a row whose entry there is c becomes a * row - c * pivot_row, then
+    is divided by its content. The pivot row leaves, so the rank is the
+    number of pivots, and no entry is ever a fraction.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    rows = [r for r in matrix if any(r)]
+    rank = 0
+    for j in range(ncols):
+        pivot = next((r for r in rows if r[j]), None)
+        if pivot is None:
+            continue
+        rank += 1
+        rows.remove(pivot)
+        a = pivot[j]
+        rows = [[a * u - r[j] * v for u, v in zip(r, pivot)] if r[j] else r for r in rows]
+        rows = [uni.primitive(r) for r in rows if any(r)]
+    return ncols - rank
 
 
 # -- irreducibility preservation under the map ---------------------------------

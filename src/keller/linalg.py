@@ -1,9 +1,9 @@
-"""Small exact linear algebra helpers over Q.
+"""Solving a consistent sparse linear system over Q for one solution.
 
 Rows are sparse dicts mapping an arbitrary hashable column key to a nonzero
-int or Fraction; solutions are Fractions. Only what the package needs:
-solving a consistent system for one solution, and the nullity of a dense
-matrix.
+int or Fraction; solutions are Fractions. This is the linear step of
+``groebner.subring_membership``; it goes, with this module, once
+membership runs by substitution alone (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -70,34 +70,3 @@ def solve_sparse(rows: List[SparseRow], target: SparseRow) -> Optional[List[Frac
     if rem:
         return None
     return out
-
-
-def nullity(matrix: List[list]) -> int:
-    """Dimension of the nullspace of a dense matrix of ints or Fractions."""
-    if not matrix:
-        return 0
-    rows = [list(r) for r in matrix]
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-        col += 1
-    return ncols - rank

@@ -755,6 +755,19 @@ def _from_list(context: VarContext, i: int, f: Sequence[int]) -> Polynomial:
     return Polynomial._raw(context, num)
 
 
+def _from_rows(context: VarContext, i: int, j: int, rows: Sequence[list]) -> Polynomial:
+    """The polynomial sum rows[a][b] * x_i**a * x_j**b for dense integer rows."""
+    base = [0] * context.arity
+    num = {}
+    for a, row in enumerate(rows):
+        base[i] = a
+        for b, c in enumerate(row):
+            if c:
+                base[j] = b
+                num[tuple(base)] = c
+    return Polynomial._raw(context, num)
+
+
 def _gcd_many(polys) -> Polynomial:
     it = iter(polys)
     g = next(it)
@@ -804,7 +817,7 @@ def _prem(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
         r = lg * r - lr * shift * g
         c = math.gcd(*r.num.values())
         if c > 1:
-            r = r * Fraction(1, c)
+            r = Polynomial._raw(ctx, {e: n // c for e, n in r.num.items()}, r.den)
     return r
 
 
@@ -901,7 +914,10 @@ def _gcd_heu(a: Polynomial, b: Polynomial, i: int, j: int):
                 return Polynomial.constant(ctx, 1), a, b
             k = math.gcd(uni.content(ea), uni.content(eb))
             # the leading digits are not all zero, so deg_i cand = deg h
-            cand = _split_var_content(_xi_adic(ctx, h, k, xi, i, j), i)[1].normalized()
+            # the polynomial in x_i, x_j whose image at x_j = xi is k * h,
+            # read off the symmetric xi-adic digits of each coefficient
+            cand = _from_rows(ctx, i, j, [uni._xi_digits(c * k, xi) for c in h])
+            cand = _split_var_content(cand, i)[1].normalized()
             try:
                 return cand, a.exact_div(cand), b.exact_div(cand)
             except ExactDivisionError:
@@ -916,20 +932,6 @@ def _eval_others(num: Mapping[Exponent, int], i: int, c: int) -> list:
     for e, v in num.items():
         out[e[i]] += v * c ** (sum(e) - e[i])
     return uni.strip(out)
-
-
-def _xi_adic(context: VarContext, h: list, k: int, xi: int, i: int, j: int) -> Polynomial:
-    """The polynomial in x_i, x_j whose image at x_j = xi is k * h, read off
-    the symmetric xi-adic digits of each coefficient of k * h."""
-    num = {}
-    base = [0] * context.arity
-    for d, c in enumerate(h):
-        base[i] = d
-        for e, r in enumerate(uni._xi_digits(c * k, xi)):
-            if r:
-                base[j] = e
-                num[tuple(base)] = r
-    return Polynomial._raw(context, num)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

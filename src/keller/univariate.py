@@ -2,12 +2,14 @@
 
 Polynomials are dense lists, ascending degree, no trailing zeros. This
 module is the package's one home for that format: one helper per
-operation and coefficient domain (Z and Q share `add`/`sub`/`mul`/`strip`,
-Z has the exact division `_quo_z` and the gcd `gcd_z`, Q has
-`_divmod_q`/`_xgcd_q`, Z/m has `_mod`/`_mul_mod`/`_divmod_mod`), and
-the one Zassenhaus subset-recombination loop `_recombine`, which the
-bivariate factorizer in `factor.py` shares. `_divmod_q` serves only
-`_xgcd_q`, the Bezout cofactors that seed the Hensel lift.
+operation and coefficient domain (Z has `add`/`sub`/`mul`/`strip`, the
+exact division `_quo_z`, the gcd `gcd_z` and the Bezout cofactors
+`_xgcd_z` that seed the y-adic Hensel lift; Z/m has
+`_mod`/`_mul_mod`/`_divmod_mod`), and the one Zassenhaus
+subset-recombination loop `_recombine`, which the bivariate factorizer in
+`factor.py` shares. No coefficient is ever a fraction: where the
+arithmetic is over Q, as in the Bezout cofactors, it runs on integer
+multiples and hands back a common denominator.
 
 `gcd_z` is the heuristic gcd of Char, Geddes and Gonnet (1989): one
 integer gcd of the two inputs' values at a large point, read back as a
@@ -25,7 +27,6 @@ bound, then subset recombination with trial division. Everything is exact.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 from typing import List, Tuple
 
@@ -35,7 +36,7 @@ IntPoly = List[int]
 
 
 def strip(f: list) -> list:
-    """Drop trailing zeros (ints or Fractions) in place."""
+    """Drop trailing zeros in place."""
     while f and not f[-1]:
         f.pop()
     return f
@@ -101,40 +102,6 @@ def primitive(f: IntPoly) -> IntPoly:
     if f[-1] < 0:
         c = -c
     return [a // c for a in f]
-
-
-# -- arithmetic over Q -----------------------------------------------------------
-
-
-def _divmod_q(f: list, g: list) -> Tuple[List[Fraction], list]:
-    """Long division in Q[x] of int or Fraction lists; the quotient is Fractions."""
-    r = list(f)
-    dg = deg(g)
-    inv = Fraction(1) / g[-1]
-    q = [Fraction(0)] * max(len(r) - dg, 0)
-    while strip(r) and deg(r) >= dg:
-        k = deg(r) - dg
-        c = r[-1] * inv
-        q[k] = c
-        for i, b in enumerate(g):
-            r[k + i] -= c * b
-    return strip(q), r
-
-
-def _xgcd_q(f: list, g: list) -> Tuple[List[Fraction], List[Fraction]]:
-    """(s, t) with s*f + t*g == 1 in Q[x] for coprime f, g."""
-    r0, r1 = list(f), list(g)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _divmod_q(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1))
-        t0, t1 = t1, sub(t0, mul(q, t1))
-    if deg(r0) != 0:
-        raise InternalInconsistencyError("expected coprime polynomials over Q")
-    inv = Fraction(1) / r0[0]
-    return [c * inv for c in s0], [c * inv for c in t0]
 
 
 def _quo_z(f: IntPoly, g: IntPoly):
@@ -222,6 +189,37 @@ def _gcd_prs(a: IntPoly, b: IntPoly) -> IntPoly:
         r = _prem(a, b)
         a, b = b, primitive(r) if r else []
     return primitive(a)
+
+
+def _xgcd_z(f: IntPoly, g: IntPoly) -> Tuple[IntPoly, IntPoly, int]:
+    """(s, t, d) with s*f + t*g == [d] and d > 0, for coprime f, g of
+    positive degree; deg s < deg g and deg t < deg f.
+
+    Euclid's algorithm on the triples (r, s, t) with s*f + t*g == r,
+    starting from (f, 1, 0) and (g, 0, 1), where each remainder is taken by
+    pseudo-division steps applied to the whole triple (Collins, J. ACM
+    1967), and the new triple is then divided by the gcd of its three
+    contents: dividing r alone would break the identity. Each triple is a
+    nonzero rational multiple of the one Euclid's algorithm over Q builds,
+    so s/d and t/d are its Bezout cofactors: the unique pair with s*f + t*g
+    == 1 under these degree bounds.
+    """
+    a, b = (list(f), [1], []), (list(g), [], [1])
+    while b[0]:
+        dg, lg = deg(b[0]), b[0][-1]
+        while deg(a[0]) >= dg:
+            k = deg(a[0]) - dg
+            c = math.gcd(lg, a[0][-1])
+            u, v = lg // c, a[0][-1] // c
+            a = tuple(sub(scale(p, u), [0] * k + scale(q, v)) for p, q in zip(a, b))
+        c = math.gcd(*map(content, a))
+        a, b = b, tuple([x // c for x in p] for p in a)
+    r, s, t = a
+    if deg(r) != 0:
+        raise InternalInconsistencyError("expected coprime polynomials over Q")
+    if r[0] < 0:
+        return [-c for c in s], [-c for c in t], -r[0]
+    return s, t, r[0]
 
 
 def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:

@@ -190,7 +190,7 @@ def _u_divmod(a, b):
         r = _u_strip(r)
         if len(r) < len(b):
             break
-        c = r[-1] / b[-1]
+        c = Fraction(r[-1], b[-1])
         k = len(r) - len(b)
         q[k] = c
         for i, y in enumerate(b):
@@ -209,8 +209,25 @@ def _u_gcd(a, b):
     while b:
         a, b = b, _u_divmod(a, b)[1]
     if a:
-        a = _u_scale(a, 1 / a[-1])
+        a = _u_scale(a, Fraction(1, a[-1]))
     return a
+
+
+def reference_xgcd(a, b):
+    """(s, t) with s*a + t*b == 1 for coprime a, b: the extended Euclidean
+    algorithm over Q, one Fraction long division per step."""
+    r0, r1 = _u_strip(a), _u_strip(b)
+    s0, s1 = [Fraction(1)], []
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        q, r = _u_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _u_sub(s0, _u_mul(q, s1))
+        t0, t1 = t1, _u_sub(t0, _u_mul(q, t1))
+    if _u_deg(r0) != 0:
+        raise ValueError("expected coprime polynomials")
+    inv = Fraction(1, r0[0])
+    return _u_scale(s0, inv), _u_scale(t0, inv)
 
 
 def _u_int_primitive(a):
@@ -346,7 +363,7 @@ def reference_factor_univariate(a):
         # no rational roots left, so no linear factor; degree 2 and 3 are done
         out.append(_u_int_primitive(work))
     elif d == 4:
-        monic = _u_scale(work, 1 / work[-1])
+        monic = _u_scale(work, Fraction(1, work[-1]))
         split = _quartic_quadratic_split(monic)
         if split is None:
             out.append(_u_int_primitive(work))
@@ -359,6 +376,38 @@ def reference_factor_univariate(a):
     if _u_sub(a, _u_scale(check, lead)):
         raise AssertionError("reference univariate factors fail to multiply back")
     return out
+
+
+def reference_nullity(matrix):
+    """Dimension of the nullspace of a dense matrix, by Gauss-Jordan
+    elimination over Q with every pivot row scaled to 1."""
+    if not matrix:
+        return 0
+    rows = [list(r) for r in matrix]
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    r = 0
+    while r < len(rows) and col < ncols:
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            col += 1
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Fraction(1, rows[r][col])
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        rank += 1
+        col += 1
+    return ncols - rank
 
 
 # Two-variable polynomials are dense grids: G[i][j] is the coefficient of
@@ -503,7 +552,7 @@ def _nullvector(rows, ncols):
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
+        inv = Fraction(1, mat[rank][col])
         mat[rank] = [c * inv for c in mat[rank]]
         for i in range(len(mat)):
             if i != rank and mat[i][col]:
@@ -582,7 +631,7 @@ def _monic_quadratic_in_x_factor(F):
     lead_row = _b_row(F, _b_deg_x(F))
     if _u_deg(lead_row) != 0:
         return None
-    scale = 1 / lead_row[0]
+    scale = Fraction(1, lead_row[0])
     M = _b_from_rows([_u_scale(_b_row(F, i), scale) for i in range(len(F))])
     pts = [Fraction(v) for v in (0, 1, -1, 2, -2)]
     per_point = []

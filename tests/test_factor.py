@@ -13,6 +13,7 @@ from keller.factor import (
     _at,
     _certified_squarefree,
     _lift_pair,
+    _nullity,
     _s_mul,
     _seed,
     _yun,
@@ -35,7 +36,11 @@ from keller.poly import (
 )
 from keller.tame import random_tame
 
-from oracles import reference_factor_bivariate, reference_factor_univariate
+from oracles import (
+    reference_factor_bivariate,
+    reference_factor_univariate,
+    reference_nullity,
+)
 from test_univariate import small_products
 
 U1 = Polynomial.variable(U12, "u1")
@@ -209,8 +214,8 @@ class TestHenselLift:
         assume(uni.deg(uni.gcd_z(g0, h0)) == 0)
         G, H = _at((G, 1), m), _at((H, 1), m)
         F = _s_mul(G, H, m)
-        s, t = uni._xgcd_q(g0, h0)
-        g, h = _lift_pair(F, *map(_seed, (g0, h0, s, t)), m)
+        s, t, d = uni._xgcd_z(g0, h0)
+        g, h = _lift_pair(F, _seed(g0), _seed(h0), _seed(s, d), _seed(t, d), m)
         assert _s_mul(g, h, m) == F
         # a monic lift of coprime images is unique
         assert (g, h) == (G, H)
@@ -398,6 +403,23 @@ class TestAbsoluteIrreducibility:
     )
     def test_certificates(self, text, expected):
         assert absolute_irreducibility(xy(text)) is expected
+
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.integers(0, 8),
+        st.randoms(use_true_random=False),
+    )
+    def test_nullity_matches_rational_elimination(self, nrows, ncols, rank, rng):
+        # a product of random nrows x rank and rank x ncols integer matrices
+        # has rank at most min(rank, nrows, ncols)
+        left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(nrows)]
+        right = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rank)]
+        matrix = [
+            [sum(a * right[k][j] for k, a in enumerate(row)) for j in range(ncols)]
+            for row in left
+        ]
+        assert _nullity(matrix) == reference_nullity(matrix)
 
     def test_flags_align_with_factors(self):
         fact = factor_bivariate(xy("(x^2 + y^2)*(x + y)"), absolute=True)

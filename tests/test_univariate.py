@@ -12,10 +12,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from keller import univariate as uni
+from keller.errors import InternalInconsistencyError
 from keller.factor import squarefree_decomposition
 from keller.poly import U12, Polynomial
 
-from oracles import _u_exact_div, _u_gcd, _u_int_primitive, reference_factor_univariate
+from oracles import (
+    _u_exact_div,
+    _u_gcd,
+    _u_int_primitive,
+    reference_factor_univariate,
+    reference_xgcd,
+)
 
 
 def squarefree(f):
@@ -73,7 +80,7 @@ small_lists = st.lists(st.integers(-12, 12), max_size=5).map(uni.strip)
 
 def reference_gcd(a, b):
     """The oracle's monic gcd over Q in gcd_z's form: primitive, positive lead."""
-    return _u_int_primitive(_u_gcd(list(map(Fraction, a)), list(map(Fraction, b))))
+    return _u_int_primitive(_u_gcd(a, b))
 
 
 class TestGcd:
@@ -140,6 +147,9 @@ class TestGcd:
             pytest.param([3], [-6, 9], id="constant"),
             pytest.param([], [-4, 0, -2], id="zero_and_negative_lead"),
             pytest.param([], [], id="both_zero"),
+            # the oracle once scaled by 1 / 3 in floats and answered
+            # [6004799503160661, 18014398509481984]
+            pytest.param([], [1, 3], id="non_monic_int_oracle"),
             pytest.param([10**30, -(10**30) - 1, 1], [-(10**30), 1], id="large_root"),
         ],
     )
@@ -151,6 +161,28 @@ class TestGcd:
         digits = uni._xi_digits(c, 31)
         assert uni._horner(digits, 31) == c
         assert all(abs(d) <= 31 // 2 for d in digits)
+
+
+class TestBezout:
+    """_xgcd_z: the Bezout cofactors over Z that seed the y-adic lift."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-12, 12), min_size=2, max_size=7).map(uni.strip),
+        st.lists(st.integers(-12, 12), min_size=2, max_size=7).map(uni.strip),
+    )
+    def test_matches_rational_euclid(self, f, g):
+        assume(uni.deg(f) >= 1 and uni.deg(g) >= 1)
+        assume(uni.deg(uni.gcd_z(f, g)) == 0)
+        s, t, d = uni._xgcd_z(f, g)
+        assert uni.add(uni.mul(s, f), uni.mul(t, g)) == [d]
+        assert d > 0
+        assert uni.deg(s) < uni.deg(g) and uni.deg(t) < uni.deg(f)
+        assert ([Fraction(c, d) for c in s], [Fraction(c, d) for c in t]) == reference_xgcd(f, g)
+
+    def test_common_factor_is_refused(self):
+        with pytest.raises(InternalInconsistencyError):
+            uni._xgcd_z(uni.mul([1, 1], [2, 1]), uni.mul([1, 1], [-1, 1]))
 
 
 class TestExactDivisionZ:
@@ -179,7 +211,7 @@ class TestExactDivisionZ:
     @given(small_lists, small_lists)
     def test_matches_oracle(self, f, g):
         assume(g)
-        q = _u_exact_div(list(map(Fraction, f)), list(map(Fraction, g)))
+        q = _u_exact_div(f, g)
         want = None if q is None or any(c.denominator != 1 for c in q) else list(map(int, q))
         assert uni._quo_z(f, g) == want
         if f:
