@@ -198,8 +198,9 @@ def _xgcd_z(f: IntPoly, g: IntPoly) -> Tuple[IntPoly, IntPoly, int]:
     Euclid's algorithm on the triples (r, s, t) with s*f + t*g == r,
     starting from (f, 1, 0) and (g, 0, 1), where each remainder is taken by
     pseudo-division steps applied to the whole triple (Collins, J. ACM
-    1967), and the new triple is then divided by the gcd of its three
-    contents: dividing r alone would break the identity. Each triple is a
+    1967), each scaling by lc / gcd(lc, lead) only, and the new triple is
+    then divided by the gcd of its three contents: dividing r alone would
+    break the identity. Each triple is a
     nonzero rational multiple of the one Euclid's algorithm over Q builds,
     so s/d and t/d are its Bezout cofactors: the unique pair with s*f + t*g
     == 1 under these degree bounds.
