@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 from typing import List, Optional
 
@@ -294,10 +295,24 @@ def _cmd_check_batch(args) -> int:
             worst = max(worst, 2)
             index += 1
             continue
-        # each map gets its own budgets and counters
-        report = classify(
-            f, stats=_run_stats(args), force=args.force, absolute=args.absolute
-        )
+        # each map gets its own budgets and counters; no exception one map
+        # raises, an internal error included, stops the maps after it
+        try:
+            report = classify(
+                f, stats=_run_stats(args), force=args.force, absolute=args.absolute
+            )
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            print(f"[{index}] error: {error}", flush=True)
+            traceback.print_exc()
+            docs.append({
+                "schema_version": SCHEMA_VERSION,
+                "input": {"p": str(f.p), "q": str(f.q)},
+                "error": error,
+            })
+            worst = max(worst, 1)
+            index += 1
+            continue
         print(f"[{index}] {f.p} ; {f.q} -> {report.verdict.value}")
         docs.append(_report_doc(f, report))
         if report.verdict is Verdict.DEGENERATE or report.refused:

@@ -1,9 +1,11 @@
 """The presentation y = u / v over the field of the two image variables.
 
 Let K = Q(u1, u2), where u1 and u2 name the two coordinate images p and q.
-The shape basis is read straight off the cached lex basis of the tag ideal
-(u1 - p, u2 - q) with y > x > u1 > u2, using only ``Polynomial``
-arithmetic. This is exact for the following reasons.
+The shape basis is read off the cached lex basis of the tag ideal
+(u1 - p, u2 - q) with y > x > u1 > u2 as ``groebner.tag_basis_by_lead``
+hands it over: each element keyed by its (x, y)-lead, with coefficients in
+Q[u1, u2]. Only ``Polynomial`` arithmetic is used, and it is exact for the
+following reasons.
 
 - The order is a block order with the plane variables above the image
   variables, so the basis stays a Groebner basis of the extended ideal in
@@ -35,7 +37,7 @@ from .errors import (
     InternalInconsistencyError,
     NotShapePositionError,
 )
-from .groebner import KernelGenerator, RunStats, _cached_tag_basis, kernel_generator
+from .groebner import KernelGenerator, RunStats, kernel_generator, tag_basis_by_lead
 from .poly import U12, U123, Endomorphism, Polynomial, poly_gcd
 
 
@@ -72,27 +74,15 @@ def shape_basis(f: Endomorphism, *, stats: Optional[RunStats] = None) -> UVDecom
     NotShapePositionError when the basis is not of the form
     {g(x), y - h(x)}.
     """
-    stats = stats if stats is not None else RunStats()
-    # each element as ((x, y)-lead, {(deg_x, deg_y): coefficient in u1, u2});
-    # tag exponents are (y, x, u1, u2), so the lex max carries the lead
-    elements = []
-    for b in _cached_tag_basis(f, stats):
-        grouped: Dict[tuple, dict] = {}
-        for (ey, ex, e1, e2), n in b.num.items():
-            grouped.setdefault((ex, ey), {})[(e1, e2)] = n
-        ey, ex = max(b.num)[:2]
-        elements.append(
-            ((ex, ey), {e: Polynomial._make(U12, t, b.den) for e, t in grouped.items()})
-        )
-    leads = {lt for lt, _ in elements}
-    if (0, 0) in leads:
+    elements = tag_basis_by_lead(f, stats)
+    if (0, 0) in elements:
         raise AlgebraicallyDependentError(
             "the coordinate images are algebraically dependent: the ideal "
             "over their function field is the unit ideal"
         )
     lts = sorted(
-        e for e in leads
-        if not any(o != e and o[0] <= e[0] and o[1] <= e[1] for o in leads)
+        e for e in elements
+        if not any(o != e and o[0] <= e[0] and o[1] <= e[1] for o in elements)
     )
     if len(lts) != 2:
         raise NotShapePositionError(
@@ -103,8 +93,8 @@ def shape_basis(f: Endomorphism, *, stats: Optional[RunStats] = None) -> UVDecom
             f"basis is not in shape position; leading terms {lts}"
         )
     r = lts[1][0]
-    G = {ex: c for (ex, _), c in next(c for lt, c in elements if lt == (r, 0)).items()}
-    y_elt = next(c for lt, c in elements if lt == (0, 1))
+    G = {ex: c for (ex, _), c in elements[(r, 0)].items()}
+    y_elt = elements[(0, 1)]
     lc = G[r]
     # pseudo-division of A by G in x: R accumulates lc^e * A - Q * G
     R = {ex: c for (ex, ey), c in y_elt.items() if ey == 0}

@@ -52,8 +52,15 @@ computation raises ResourceCapExceeded when it processes more S-pairs than
 ``spair_budget``, counted from its own start, and a reduction raises it
 when it creates a term of total degree above ``degree_budget``. A basis
 computation also raises it when a new basis element, or the polynomial
-being reduced at one of its every-32-steps content passes, has an integer
-coefficient longer than ``MAX_COEFF_BITS`` bits.
+being reduced right after a step scales it, has an integer coefficient
+longer than ``MAX_COEFF_BITS`` bits.
+
+The lex basis of the tag ideal (u1 - p, u2 - q) with y > x > u1 > u2 is
+computed once per map and budget and read once, by (x, y)-lead, into
+polynomials in x, y over Q[u1, u2] (``_tag_basis``). Only this module knows
+the basis's variable layout: ``tag_basis_by_lead`` hands the reading to
+``pipeline.invert`` and ``funcfield.shape_basis``, and ``subring_membership``
+reduces against the raw basis.
 """
 
 from __future__ import annotations
@@ -311,6 +318,8 @@ def _reduce_int(terms: dict, rows: Sequence[tuple], layout: tuple, stats: RunSta
                 work[k] *= scale
             for k in out:
                 out[k] *= scale
+            _check_coeffs(work.values())
+            _check_coeffs(out.values())
         for me, mc in rtail:
             ke = me + shift
             v = work.get(ke)
@@ -631,9 +640,24 @@ def kernel_generator(
 _TAG_CTX = VarContext(("y", "x", "u1", "u2"))
 
 
+def _by_lead(basis) -> dict:
+    """Each element of a lex tag basis as a polynomial in x, y over Q[u1, u2],
+    {(deg_x, deg_y): coefficient in U12}, keyed by its (x, y)-lead, the lex
+    max of its (y, x, u1, u2) tuples; of elements sharing a lead, the first."""
+    out = {}
+    for b in basis:
+        grouped: dict = {}
+        for (ey, ex, e1, e2), n in b.num.items():
+            grouped.setdefault((ex, ey), {})[(e1, e2)] = n
+        ey, ex = max(b.num)[:2]
+        coeffs = {e: Polynomial._make(U12, t, b.den) for e, t in grouped.items()}
+        out.setdefault((ex, ey), coeffs)
+    return out
+
+
 @lru_cache(maxsize=128)
 def _tag_basis(f: Endomorphism, spair_budget: int, degree_budget: int):
-    """Reduced lex basis of the tag ideal (u1 - p, u2 - q).
+    """Reduced lex basis of the tag ideal (u1 - p, u2 - q), and its ``_by_lead``.
 
     Pure lex with y > x > u1 > u2 eliminates the plane variables, so
     elements with u-only leading terms are u-only polynomials.
@@ -645,19 +669,23 @@ def _tag_basis(f: Endomorphism, spair_budget: int, degree_budget: int):
     rename = {xname: "x", yname: "y"}
     g1 = u1 - f.p.reindex(_TAG_CTX, rename)
     g2 = u2 - f.q.reindex(_TAG_CTX, rename)
-    basis = buchberger(Ideal(_TAG_CTX, [g1, g2]), LEX, stats=stats)
-    return tuple(basis), stats
+    basis = tuple(buchberger(Ideal(_TAG_CTX, [g1, g2]), LEX, stats=stats))
+    return basis, _by_lead(basis), stats
 
 
 def _cached_tag_basis(f: Endomorphism, stats: RunStats):
-    """``_tag_basis(f)`` under the budgets of ``stats``, charging its
-    Buchberger work to ``stats`` only when this call computed it; a cache hit
-    did no S-pair work."""
+    """(basis, by_lead) of ``_tag_basis(f)`` under the budgets of ``stats``,
+    which is charged its Buchberger work only when this call did it."""
     misses = _tag_basis.cache_info().misses
-    basis, basis_stats = _tag_basis(f, stats.spair_budget, stats.degree_budget)
+    basis, by_lead, basis_stats = _tag_basis(f, stats.spair_budget, stats.degree_budget)
     if _tag_basis.cache_info().misses != misses:
         stats.merge(basis_stats)
-    return basis
+    return basis, by_lead
+
+
+def tag_basis_by_lead(f: Endomorphism, stats: Optional[RunStats] = None) -> dict:
+    """The cached tag basis as ``_by_lead``; ``invert`` and ``shape_basis`` read it."""
+    return _cached_tag_basis(f, RunStats() if stats is None else stats)[1]
 
 
 @lru_cache(maxsize=128)
@@ -706,7 +734,7 @@ def subring_membership(
             U12, {k: c * products[k].den / w.den for k, c in zip(keys, combo) if c}
         )
 
-    basis = _cached_tag_basis(f, stats)
+    basis, _ = _cached_tag_basis(f, stats)
     wt = w.reindex(_TAG_CTX)
     rem, _ = normal_form(wt, basis, LEX, stats=stats)
     if any(e[0] or e[1] for e in rem.num):

@@ -6,7 +6,8 @@ assume it). Stage 2 computes the kernel generator H and the degree r of x
 over the image field. Stage 3 produces the y = u/v decomposition, stage 4
 factors v and checks the localization units, and stage 5 draws the final
 verdict: r = 1 means the map is invertible, and the inverse is read off
-the lex tag basis that stage 3 also reads; r >= 2 on a map that passed
+the lex tag basis, as ``groebner.tag_basis_by_lead`` parses it once for
+both this and stage 3's shape basis; r >= 2 on a map that passed
 stage 1 would be a loud counterexample candidate and is treated as an
 artifact bug elsewhere.
 
@@ -48,7 +49,7 @@ from .factor import (
     stays_irreducible,
 )
 from .funcfield import UVDecomposition, uv_decomposition
-from .groebner import KernelGenerator, RunStats, _cached_tag_basis, kernel_generator
+from .groebner import KernelGenerator, RunStats, kernel_generator, tag_basis_by_lead
 from .poly import U12, XY, Endomorphism, JacobianInfo, Polynomial
 from .tame import TameCertificate, decompose
 
@@ -134,9 +135,12 @@ def invert(
     """Inverse components (s, t) with s(p,q) = x and t(p,q) = y.
 
     They are read off the reduced lex basis of the tag ideal
-    I = (u1 - p, u2 - q) with y > x > u1 > u2, which the shape basis has
-    already cached. f is an automorphism with inverse (s, t) exactly when
-    that basis is {c*x - S(u), c'*y - T(u)} with s = S/c and t = T/c:
+    I = (u1 - p, u2 - q) with y > x > u1 > u2, by (x, y)-lead, as the
+    shape basis reads it too. f is an automorphism with inverse (s, t)
+    exactly when that basis is {c*x - S(u), c'*y - T(u)}, with s = S/c and
+    t = T/c. That is when its reading has the leads x and y only, each with
+    a constant coefficient and a u-only tail: a reduced basis holds no
+    further element, whose lead x or y would divide.
 
     - If x = s(p, q) and y = t(p, q), then x - s(u) and y - t(u) lie in I,
       since u1 = p and u2 = q modulo I. Modulo the ideal J they generate,
@@ -154,23 +158,16 @@ def invert(
     raises InternalInconsistencyError. The basis is computed under the
     budgets of ``stats`` and charged to it only when this call computed it.
     """
-    stats = stats if stats is not None else RunStats()
-    # tag exponents are (y, x, u1, u2): the lex max of an element is its lead
-    y_lead, x_lead = (1, 0, 0, 0), (0, 1, 0, 0)
-    read = {}
-    for b in _cached_tag_basis(f, stats):
-        lead = max(b.num)
-        tail = {e[2:]: -a for e, a in b.num.items() if not (e[0] or e[1])}
-        if lead not in (y_lead, x_lead) or len(tail) != len(b.num) - 1:
-            read.clear()
-            break
-        read[lead] = Polynomial._make(U12, tail, b.num[lead])
-    if len(read) != 2:
+    read = tag_basis_by_lead(f, stats)
+    if set(read) != {(1, 0), (0, 1)} or any(
+        set(c) != {e, (0, 0)} or not c[e].is_constant() for e, c in read.items()
+    ):
         raise MembershipFailedError(
             "the lex tag basis is not {x - s(u), y - t(u)}, so x or y is not "
             "in the image subalgebra"
         )
-    s, t = read[x_lead], read[y_lead]
+    # c*x - S(u) reads {(1, 0): c, (0, 0): -S}, and s = S / c; likewise t
+    s, t = (read[e][(0, 0)].exact_div(-read[e][e]) for e in ((1, 0), (0, 1)))
     if max(s.total_degree(), t.total_degree()) > f.degree():
         raise InternalInconsistencyError(
             f"an inverse of degree above deg f = {f.degree()} contradicts "

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import keller.cli as cli_module
 import keller.groebner as groebner_module
 from keller.cli import main
+from keller.errors import MembershipFailedError
 from keller.tame import random_tame
 
 
@@ -446,6 +448,35 @@ class TestBatch:
             "[2] y ; x -> Automorphism",
         ]
         assert len(json.loads(report.read_text())) == 2
+
+    def test_exception_in_one_map_does_not_abort_the_batch(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        real = cli_module.classify
+
+        def classify(f, **kwargs):
+            if str(f.p) == "y":
+                raise MembershipFailedError("injected")
+            return real(f, **kwargs)
+
+        monkeypatch.setattr(cli_module, "classify", classify)
+        batch = tmp_path / "maps.txt"
+        batch.write_text("y ; x\nx ; y + x^2\n")
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, ["check", "--batch", str(batch), "--json", str(report)])
+        assert code == 1
+        assert "Traceback" in err
+        assert out.splitlines() == [
+            "[0] error: MembershipFailedError: injected",
+            "[1] x ; y + x^2 -> Automorphism",
+        ]
+        docs = json.loads(report.read_text())
+        assert docs[0] == {
+            "schema_version": 3,
+            "input": {"p": "y", "q": "x"},
+            "error": "MembershipFailedError: injected",
+        }
+        assert docs[1]["verdict"] == "Automorphism"
 
     def test_gen_output_feeds_batch(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["gen", "--count", "3", "--seed", "5"])

@@ -77,7 +77,7 @@ class TestShapeBasis:
         # the tag basis holds G = 3*u1^2*x + ... and 6*u1*y - 3*u1*x^2 + ...:
         # A has degree r + 1 in x, so the division takes two steps, and
         # D = 6*u1 * (3*u1^2)^2 shares u1 with every coefficient of R
-        basis = [str(b) for b in _cached_tag_basis(f, RunStats())]
+        basis = [str(b) for b in _cached_tag_basis(f, RunStats())[0]]
         assert "4*u2^2 - 16*u1*u2 + 18*u1^2 + u1^3 + 3*x*u1^2" in basis
         assert "4*u2 - 8*u1 - 3*x^2*u1 + 6*y*u1" in basis
         sb = shape_basis(f)

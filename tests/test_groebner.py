@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keller import groebner
@@ -306,6 +306,18 @@ class TestBudgets:
             monkeypatch.setattr(groebner, "MAX_COEFF_BITS", 2)
             compute()
 
+    def test_coefficient_cap_is_checked_when_a_reduction_scales(self):
+        # reducing x^3 + y by L*x - 1 scales y by L on each of three steps;
+        # L^3 passes the 4096-bit cap long before a 32-step content pass
+        for L, refused in [(3**800, False), (3**900, True)]:
+            f = X**3 + Y
+            if refused:
+                with pytest.raises(ResourceCapExceeded, match="exceeds the cap of 4096 bits"):
+                    normal_form(f, [L * X - ONE], LEX)
+            else:
+                rem, _ = normal_form(f, [L * X - ONE], LEX)
+                assert rem == Y + ONE * Fraction(1, L**3)
+
     def test_merge_keeps_the_budgets(self):
         stats = RunStats(spair_budget=7, degree_budget=9)
         stats.merge(RunStats(spairs=2, max_degree=5, millis=3))
@@ -449,6 +461,31 @@ class TestKernelGenerator:
         assert kernel_generator(Endomorphism(X**2, Y)).r == 2
 
 
+class TestTagBasisReading:
+    @given(st.integers(0, 999), st.booleans())
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    def test_by_lead_rebuilds_every_element(self, seed, times_xy):
+        # each reading is sum coeff * x^a * y^b of the first element with
+        # its (x, y)-lead; for (x, x*y) after t, y-elements can share one
+        # (seed 0: y*u1 - u2 and 2*y*u2^2 - x*u1^2 + ...)
+        f = random_tame(seed)[0]
+        if times_xy:
+            f = Endomorphism(f.p, f.p * f.q)
+        basis, by_lead, _ = _tag_basis(f, DEFAULT_MAX_SPAIRS, DEFAULT_MAX_DEGREE)
+        tx, ty = (Polynomial.variable(_TAG_CTX, n) for n in ("x", "y"))
+        first = {}
+        for b in basis:
+            first.setdefault(max(b.num)[1::-1], b)
+        assert list(by_lead) == list(first)
+        for lead, coeffs in by_lead.items():
+            rebuilt = sum(
+                (c.reindex(_TAG_CTX) * tx**a * ty**b for (a, b), c in coeffs.items()),
+                Polynomial.zero(_TAG_CTX),
+            )
+            assert rebuilt == first[lead]
+            assert lead == max(coeffs, key=lambda e: (e[1], e[0]))
+
+
 class TestSubringMembership:
     def test_shear_y(self):
         f = Endomorphism(X, Y + X**2)
@@ -497,7 +534,7 @@ class TestSubringMembership:
         # by hand to get the normal-form route's answer
         f = Endomorphism(X, Y + X**2)
         G_fast = subring_membership(Y, f)
-        basis, _ = _tag_basis(f, DEFAULT_MAX_SPAIRS, DEFAULT_MAX_DEGREE)
+        basis, _, _ = _tag_basis(f, DEFAULT_MAX_SPAIRS, DEFAULT_MAX_DEGREE)
         rem, _ = normal_form(Y.reindex(_TAG_CTX), basis, LEX)
         assert not any(e[0] or e[1] for e in rem.terms)
         assert G_fast == rem.reindex(U12)

@@ -3,7 +3,7 @@
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import keller.factor as factor_module
@@ -18,6 +18,7 @@ from keller.funcfield import uv_decomposition
 from keller.groebner import (
     _TAG_CTX,
     RunStats,
+    _by_lead,
     clear_caches,
     kernel_generator,
     subring_membership,
@@ -43,7 +44,8 @@ TY, TX, T1, T2 = (Polynomial.variable(_TAG_CTX, n) for n in ("y", "x", "u1", "u2
 
 def patch_tag_basis(monkeypatch, basis):
     """Make invert read ``basis`` in place of the map's lex tag basis."""
-    monkeypatch.setattr(pipeline_module, "_cached_tag_basis", lambda f, stats: basis)
+    read = _by_lead(basis)
+    monkeypatch.setattr(pipeline_module, "tag_basis_by_lead", lambda f, stats: read)
 
 
 class TestClassifyVerdicts:
@@ -323,6 +325,14 @@ class TestTameGeneration:
             assert f.jacobian.kind == "constant"
 
 
+# 1-4 terms with exponents up to 3 and coefficients +-1..3
+_COMPONENT = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: Polynomial(XY, {(a, b): c for a, b, c in terms}))
+
+
 class TestClassifyProperties:
     @pytest.mark.parametrize("seed", range(10))
     def test_tame_corpus_sound(self, seed):
@@ -362,6 +372,25 @@ class TestClassifyProperties:
         s2, t2 = report.inverse
         assert s2.substitute({"u1": X, "u2": Y}) == f.p
         assert t2.substitute({"u1": X, "u2": Y}) == f.q
+
+    @given(_COMPONENT, _COMPONENT)
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    def test_forced_evidence_never_raises(self, p, q):
+        # small random maps, mostly not Keller: a forced run either reaches
+        # the units verdict, which must agree with factor preservation, or
+        # stops at a cap (refused) or at a dependence or a basis not in
+        # shape position, both answers that come before the uv split
+        clear_caches()
+        report = classify(
+            Endomorphism(p, q),
+            force=True,
+            stats=RunStats(spair_budget=300, degree_budget=24),
+        )
+        if report.units is not None:
+            preserved = all(r.preserved for r in report.v_reports)
+            assert report.units.all_units_in_Cpq == preserved
+        elif not report.refused:
+            assert report.uv is None
 
     def test_deterministic_report(self):
         f = Endomorphism(X, X * Y)
