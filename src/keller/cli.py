@@ -99,12 +99,21 @@ def _parse_map(p_text: str, q_text: str) -> Endomorphism:
     return Endomorphism(parse_poly(p_text, XY), parse_poly(q_text, XY))
 
 
-def _stats_doc(stats: RunStats) -> dict:
-    return {
-        "spairs": stats.spairs,
-        "max_degree": stats.max_degree,
-        "millis": stats.millis,
-    }
+def _envelope(inputs: dict, stats: Optional[RunStats], **body) -> dict:
+    """A ``--json`` document: ``schema_version``, the parsed ``input``, the
+    command's own sections and, when the command counts work, ``stats``."""
+    doc = {"schema_version": SCHEMA_VERSION, "input": inputs, **body}
+    if stats is not None:
+        doc["stats"] = {
+            "spairs": stats.spairs,
+            "max_degree": stats.max_degree,
+            "millis": stats.millis,
+        }
+    return doc
+
+
+def _map_input(f: Endomorphism, **extra) -> dict:
+    return {"p": str(f.p), "q": str(f.q), **{k: str(v) for k, v in extra.items()}}
 
 
 def _jacobian_doc(jac) -> dict:
@@ -157,24 +166,22 @@ def _units_doc(verdict) -> dict:
 
 
 def _report_doc(f: Endomorphism, report: ClassificationReport) -> dict:
+    def section(value, doc):
+        return None if value is None else doc(value)
+
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "input": {"p": str(f.p), "q": str(f.q)},
         "jacobian": _jacobian_doc(report.jacobian),
-        "kernel": None,
-        "uv": None,
+        "kernel": section(report.kernel, _kernel_doc),
+        "uv": section(report.uv, _uv_doc),
         "v_factors": None,
-        "units": None,
+        "units": section(report.units, _units_doc),
         "verdict": report.verdict.value,
-        "inverse": None,
+        "inverse": section(report.inverse, lambda st: {"s": str(st[0]), "t": str(st[1])}),
         "certificate": _certificate_doc(report.certificate),
-        "tfae": None,
-        "stats": _stats_doc(report.stats),
+        "tfae": section(report.tfae, lambda t: {
+            "i": t.i, "ii": t.ii, "iii": t.iii, "consistent": t.consistent,
+        }),
     }
-    if report.kernel is not None:
-        doc["kernel"] = _kernel_doc(report.kernel)
-    if report.uv is not None:
-        doc["uv"] = _uv_doc(report.uv)
     if report.v_factorization is not None:
         by_poly = {r.source: r for r in report.v_reports}
         doc["v_factors"] = [
@@ -191,30 +198,26 @@ def _report_doc(f: Endomorphism, report: ClassificationReport) -> dict:
             }
             for vj, mult in report.v_factorization.factors
         ]
-    if report.units is not None:
-        doc["units"] = _units_doc(report.units)
-    if report.inverse is not None:
-        doc["inverse"] = {"s": str(report.inverse[0]), "t": str(report.inverse[1])}
-    if report.tfae is not None:
-        doc["tfae"] = {
-            "i": report.tfae.i,
-            "ii": report.tfae.ii,
-            "iii": report.tfae.iii,
-            "consistent": report.tfae.consistent,
-        }
     if report.degenerate_reason:
         doc["reason"] = report.degenerate_reason
     if report.refused:
         doc["refused"] = True
     if report.notes:
         doc["notes"] = list(report.notes)
-    return doc
+    return _envelope(_map_input(f), report.stats, **doc)
 
 
 def _write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _list_entry(doc: dict, first: bool) -> str:
+    """``doc`` as the next entry of a list that ``_write_json`` writes: one
+    level deeper, after "[" or ","."""
+    text = json.dumps(doc, indent=2, sort_keys=True).replace("\n", "\n  ")
+    return ("[" if first else ",") + "\n  " + text
 
 
 def _print_report(f: Endomorphism, report: ClassificationReport) -> None:
@@ -273,53 +276,55 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_check_batch(args) -> int:
-    docs = []
     worst = 0
     with open(args.batch, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    index = 0
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ";" not in line:
-            print(f"[{index}] skipped (expected 'p ; q'): {line}", flush=True)
-            worst = max(worst, 2)
-            index += 1
-            continue
-        p_text, q_text = line.split(";", 1)
-        try:
-            f = _parse_map(p_text.strip(), q_text.strip())
-        except (ParseError, UnknownVariableError) as exc:
-            print(f"[{index}] parse error: {exc}")
-            worst = max(worst, 2)
-            index += 1
-            continue
-        # each map gets its own budgets and counters; no exception one map
-        # raises, an internal error included, stops the maps after it
-        try:
-            report = classify(
-                f, stats=_run_stats(args), force=args.force, absolute=args.absolute
-            )
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            print(f"[{index}] error: {error}", flush=True)
-            traceback.print_exc()
-            docs.append({
-                "schema_version": SCHEMA_VERSION,
-                "input": {"p": str(f.p), "q": str(f.q)},
-                "error": error,
-            })
-            worst = max(worst, 1)
-            index += 1
-            continue
-        print(f"[{index}] {f.p} ; {f.q} -> {report.verdict.value}")
-        docs.append(_report_doc(f, report))
-        if report.verdict is Verdict.DEGENERATE or report.refused:
-            worst = max(worst, 1)
-        index += 1
-    if args.json:
-        _write_json(args.json, docs)
+        lines = [s for s in map(str.strip, fh) if s and not s.startswith("#")]
+    # opened before the first map, so an unwritable path fails at once; each
+    # entry is written as soon as its map is done
+    out = open(args.json, "w", encoding="utf-8") if args.json else None
+    entries = 0
+
+    def emit(doc: dict) -> None:
+        nonlocal entries
+        if out is not None:
+            out.write(_list_entry(doc, first=not entries))
+            out.flush()
+        entries += 1
+
+    try:
+        for index, line in enumerate(lines):
+            if ";" not in line:
+                print(f"[{index}] skipped (expected 'p ; q'): {line}", flush=True)
+                worst = max(worst, 2)
+                continue
+            p_text, q_text = line.split(";", 1)
+            try:
+                f = _parse_map(p_text.strip(), q_text.strip())
+            except (ParseError, UnknownVariableError) as exc:
+                print(f"[{index}] parse error: {exc}")
+                worst = max(worst, 2)
+                continue
+            # each map gets its own budgets and counters; no exception one map
+            # raises, an internal error included, stops the maps after it
+            try:
+                report = classify(
+                    f, stats=_run_stats(args), force=args.force, absolute=args.absolute
+                )
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                print(f"[{index}] error: {error}", flush=True)
+                traceback.print_exc()
+                emit(_envelope(_map_input(f), None, error=error))
+                worst = max(worst, 1)
+                continue
+            print(f"[{index}] {f.p} ; {f.q} -> {report.verdict.value}")
+            emit(_report_doc(f, report))
+            if report.verdict is Verdict.DEGENERATE or report.refused:
+                worst = max(worst, 1)
+    finally:
+        if out is not None:
+            out.write("\n]\n" if entries else "[]\n")
+            out.close()
     return worst
 
 
@@ -333,15 +338,7 @@ def _cmd_kernel(args) -> int:
     for i, c in enumerate(kernel.coeffs):
         print(f"H_{i} = {c}")
     if args.json:
-        _write_json(
-            args.json,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "input": {"p": str(f.p), "q": str(f.q)},
-                "kernel": _kernel_doc(kernel),
-                "stats": _stats_doc(stats),
-            },
-        )
+        _write_json(args.json, _envelope(_map_input(f), stats, kernel=_kernel_doc(kernel)))
     return 0
 
 
@@ -355,16 +352,7 @@ def _cmd_uv(args) -> int:
     print(f"r = {dec.r}")
     print(f"g = {dec.g}")
     if args.json:
-        _write_json(
-            args.json,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "input": {"p": str(f.p), "q": str(f.q)},
-                "uv": _uv_doc(dec),
-                "r": dec.r,
-                "stats": _stats_doc(stats),
-            },
-        )
+        _write_json(args.json, _envelope(_map_input(f), stats, uv=_uv_doc(dec), r=dec.r))
     return 0
 
 
@@ -388,17 +376,13 @@ def _cmd_invert(args) -> int:
         print(f"step: {kind} " + " ".join(f"{k}={v}" for k, v in doc.items()))
     print(f"verified = {ok}")
     if args.json:
-        _write_json(
-            args.json,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "input": {"p": str(f.p), "q": str(f.q)},
-                "inverse": {"s": str(s), "t": str(t)},
-                "certificate": _certificate_doc(certificate),
-                "verified": ok,
-                "stats": _stats_doc(stats),
-            },
-        )
+        _write_json(args.json, _envelope(
+            _map_input(f),
+            stats,
+            inverse={"s": str(s), "t": str(t)},
+            certificate=_certificate_doc(certificate),
+            verified=ok,
+        ))
     return 0 if ok else 1
 
 
@@ -413,16 +397,12 @@ def _cmd_member(args) -> int:
     else:
         print(f"G = {G}")
     if args.json:
-        _write_json(
-            args.json,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "input": {"p": str(f.p), "q": str(f.q), "w": str(w)},
-                "member": G is not None,
-                "G": str(G) if G is not None else None,
-                "stats": _stats_doc(stats),
-            },
-        )
+        _write_json(args.json, _envelope(
+            _map_input(f, w=w),
+            stats,
+            member=G is not None,
+            G=str(G) if G is not None else None,
+        ))
     return 0
 
 
@@ -460,18 +440,16 @@ def _cmd_factor(args) -> int:
                 note = "  [absolute status undetermined]"
         print(f"factor: {g}  multiplicity {mult}{note}")
     if args.json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "input": {"expr": str(poly), "vars": list(ctx.names)},
-            "content": str(fact.content),
-            "factors": [
-                {"factor": str(g), "multiplicity": m} for g, m in fact.factors
-            ],
-        }
+        factors = [{"factor": str(g), "multiplicity": m} for g, m in fact.factors]
         if fact.absolute is not None:
-            for entry, flag in zip(doc["factors"], fact.absolute):
+            for entry, flag in zip(factors, fact.absolute):
                 entry["absolutely_irreducible"] = flag
-        _write_json(args.json, doc)
+        _write_json(args.json, _envelope(
+            {"expr": str(poly), "vars": list(ctx.names)},
+            None,
+            content=str(fact.content),
+            factors=factors,
+        ))
     return 0
 
 
@@ -490,15 +468,7 @@ def _cmd_units(args) -> int:
         else:
             print(f"factor {w.factor}: outside")
     if args.json:
-        _write_json(
-            args.json,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "input": {"p": str(f.p), "q": str(f.q), "v": str(v)},
-                "units": _units_doc(verdict),
-                "stats": _stats_doc(stats),
-            },
-        )
+        _write_json(args.json, _envelope(_map_input(f, v=v), stats, units=_units_doc(verdict)))
     return 0
 
 
@@ -556,16 +526,12 @@ def _cmd_gb(args) -> int:
     for g in basis:
         print(g)
     if args.json:
-        _write_json(
-            args.json,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "input": {"generators": [str(g) for g in gens], "vars": list(ctx.names)},
-                "order": args.order,
-                "basis": [str(g) for g in basis],
-                "stats": _stats_doc(stats),
-            },
-        )
+        _write_json(args.json, _envelope(
+            {"generators": [str(g) for g in gens], "vars": list(ctx.names)},
+            stats,
+            order=args.order,
+            basis=[str(g) for g in basis],
+        ))
     return 0
 
 

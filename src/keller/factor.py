@@ -20,10 +20,11 @@ integral candidate becomes a `Polynomial` (`poly._from_rows`), for the
 trial division.
 
 The absolute-irreducibility certificate counts the solutions of a linear
-system with `_nullity`, fraction-free over Z. On top of that sit the
-maps-level checks: does each irreducible factor of v keep a single
-irreducible image under f, and are all unit generators of the localized
-ring inside the image subalgebra.
+system with `_nullity`, fraction-free over Z. On top of that sits stage
+4, `localization_stage`, the one implementation behind `classify` and
+`localization_units_check`: does each irreducible factor of v keep a
+single irreducible image under f, and are all unit generators of the
+localized ring inside the image subalgebra.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import univariate as uni
 from .errors import (
@@ -301,7 +302,7 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
             check = check * g
         if check.content_and_primitive()[1] != part.content_and_primitive()[1]:
             raise InternalInconsistencyError("bivariate factors failed to multiply back")
-        return sorted(both, key=lambda g: (g.total_degree(), str(g)))
+        return both
     part = prim
 
     # primitive in x and linear in x: irreducible
@@ -383,7 +384,7 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
     _, part_prim = part.content_and_primitive()
     if check_prim != part_prim:
         raise InternalInconsistencyError("bivariate factors failed to multiply back")
-    return sorted(out, key=lambda g: (g.total_degree(), str(g)))
+    return out
 
 
 def _eval_points():
@@ -558,6 +559,22 @@ def image_under(f: Endomorphism, g: Polynomial) -> Polynomial:
     return g.substitute({"u1": f.p, "u2": f.q})
 
 
+def factor_v(v: Polynomial, *, absolute: bool = False) -> Factorization:
+    """``factor_bivariate`` of v, or of a factor of v, under no cap: stage
+    4's degree cap bounds only the images v_j(p, q)."""
+    return factor_bivariate(v, degree_cap=v.total_degree(), absolute=absolute)
+
+
+def _preservation(f: Endomorphism, vj: Polynomial, degree_cap: int) -> PreservationReport:
+    """Factor the image vj(p, q) of an irreducible vj under the image cap."""
+    image = image_under(f, vj)
+    if image.is_constant():
+        raise AlgebraicallyDependentError("a factor of v has constant image under the map")
+    fact = factor_bivariate(image, degree_cap=degree_cap)
+    preserved = len(fact.factors) == 1 and fact.factors[0][1] == 1
+    return PreservationReport(vj, image, fact, preserved)
+
+
 def stays_irreducible(
     vj: Polynomial,
     f: Endomorphism,
@@ -569,17 +586,10 @@ def stays_irreducible(
     vj must be irreducible over Q. Preserved means the image has exactly
     one irreducible factor with multiplicity 1.
     """
-    check = factor_bivariate(vj, degree_cap=max(degree_cap, vj.total_degree()))
+    check = factor_v(vj)
     if len(check.factors) != 1 or check.factors[0][1] != 1:
         raise ValueError("expected an irreducible polynomial to test")
-    image = image_under(f, vj)
-    if image.is_constant():
-        raise AlgebraicallyDependentError(
-            "the image of the tested factor is constant"
-        )
-    fact = factor_bivariate(image, degree_cap=degree_cap)
-    preserved = len(fact.factors) == 1 and fact.factors[0][1] == 1
-    return PreservationReport(vj, image, fact, preserved)
+    return _preservation(f, vj, degree_cap)
 
 
 # -- localization units ---------------------------------------------------------
@@ -600,6 +610,37 @@ class UnitsVerdict:
     witnesses: Tuple[UnitWitness, ...]
 
 
+def localization_stage(
+    f: Endomorphism,
+    vf: Factorization,
+    *,
+    degree_cap: int = DEFAULT_FACTOR_DEGREE_CAP,
+    stats: Optional[RunStats] = None,
+) -> Iterator:
+    """Stage 4 on the factorization vf of v: yields the
+    ``PreservationReport`` of every factor v_j, then the ``UnitsVerdict``.
+
+    The unit group of C[x,y][1/v(p,q)] is generated by constants and the
+    irreducible factors of the images v_j(p, q), each factored once under
+    ``degree_cap``; the verdict tags each such factor via subring
+    membership. The reports come first, so a caller keeps them when the
+    membership step refuses: ``reports, verdict = localization_stage(...)``
+    takes both.
+    """
+    reports = tuple(_preservation(f, vj, degree_cap) for vj, _ in vf.factors)
+    yield reports
+    seen: Dict[Polynomial, UnitWitness] = {}
+    for r in reports:
+        for w, _ in r.image_factors.factors:
+            if w not in seen:
+                member = subring_membership(w, f, stats=stats)
+                seen[w] = UnitWitness(w, member is not None, member)
+    witnesses = tuple(
+        seen[w] for w in sorted(seen, key=lambda g: (g.total_degree(), str(g)))
+    )
+    yield UnitsVerdict(all(wit.inside for wit in witnesses), witnesses)
+
+
 def localization_units_check(
     f: Endomorphism,
     v: Polynomial,
@@ -607,44 +648,9 @@ def localization_units_check(
     degree_cap: int = DEFAULT_FACTOR_DEGREE_CAP,
     stats: Optional[RunStats] = None,
 ) -> UnitsVerdict:
-    """Check that every unit generator of C[x,y][1/v(p,q)] lies in C[p,q].
-
-    The unit group of the localization is generated by constants and the
-    irreducible factors of v(p, q), so the check tags each such factor via
-    subring membership.
-    """
+    """Check that every unit generator of C[x,y][1/v(p,q)] lies in C[p,q]:
+    stage 4 (``localization_stage``) on the factors of v."""
     if v.is_zero():
         raise ValueError("v must be nonzero")
-    if v.is_constant():
-        return UnitsVerdict(True, ())
-    vf = factor_bivariate(v, degree_cap=max(degree_cap, v.total_degree()))
-    image_factors = []
-    for vj, _ in vf.factors:
-        image = image_under(f, vj)
-        if image.is_constant():
-            raise AlgebraicallyDependentError(
-                "a factor of v has constant image under the map"
-            )
-        image_factors.append(factor_bivariate(image, degree_cap=degree_cap))
-    return _units_verdict(f, image_factors, stats=stats)
-
-
-def _units_verdict(
-    f: Endomorphism,
-    image_factors: Sequence[Factorization],
-    *,
-    stats: Optional[RunStats],
-) -> UnitsVerdict:
-    """Tag every irreducible factor of the v-factor images by membership."""
-    seen: Dict[Polynomial, UnitWitness] = {}
-    for wf in image_factors:
-        for w, _ in wf.factors:
-            if w in seen:
-                continue
-            member = subring_membership(w, f, stats=stats)
-            seen[w] = UnitWitness(w, member is not None, member)
-    witnesses = tuple(
-        seen[w]
-        for w in sorted(seen, key=lambda g: (g.total_degree(), str(g)))
-    )
-    return UnitsVerdict(all(wit.inside for wit in witnesses), witnesses)
+    _, verdict = localization_stage(f, factor_v(v), degree_cap=degree_cap, stats=stats)
+    return verdict

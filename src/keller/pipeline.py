@@ -40,13 +40,11 @@ from .errors import (
     ZeroKernelError,
 )
 from .factor import (
-    DEFAULT_FACTOR_DEGREE_CAP,
     Factorization,
     PreservationReport,
     UnitsVerdict,
-    _units_verdict,
-    factor_bivariate,
-    stays_irreducible,
+    factor_v,
+    localization_stage,
 )
 from .funcfield import UVDecomposition, uv_decomposition
 from .groebner import KernelGenerator, RunStats, kernel_generator, tag_basis_by_lead
@@ -302,22 +300,13 @@ def _classify(
         return degenerate(exc)
     report.uv = uv
 
+    # stage 4: the reports are set before the membership step, so a
+    # refusal there still reports v's factors and their images
     try:
-        vfact = factor_bivariate(
-            uv.v,
-            degree_cap=max(DEFAULT_FACTOR_DEGREE_CAP, uv.v.total_degree()),
-            absolute=absolute,
-        )
-        report.v_factorization = vfact
-        report.v_reports = tuple(
-            stays_irreducible(vj, f)
-            for vj, _ in vfact.factors
-        )
-        # the images were factored by stays_irreducible: reuse them
-        units = _units_verdict(
-            f, [r.image_factors for r in report.v_reports], stats=stats
-        )
-        report.units = units
+        report.v_factorization = factor_v(uv.v, absolute=absolute)
+        stage = localization_stage(f, report.v_factorization, stats=stats)
+        report.v_reports = next(stage)
+        report.units = units = next(stage)
     except (ResourceCapExceeded, DegreeCapExceeded) as exc:
         return degenerate(exc)
 

@@ -396,9 +396,6 @@ def _berlekamp(f: List[int], p: int) -> List[List[int]]:
                 if 0 < deg(g) < deg(rem):
                     pieces.append(g)
                     rem = _divmod_mod(rem, g, p)[0]
-                elif deg(g) == deg(rem) and deg(g) > 0:
-                    # the whole remainder is a multiple; keep going
-                    continue
             if deg(rem) > 0:
                 pieces.append(_monic_mod(rem, p))
             next_round.extend(pieces if pieces else [w])

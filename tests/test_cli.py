@@ -478,6 +478,48 @@ class TestBatch:
         }
         assert docs[1]["verdict"] == "Automorphism"
 
+    def test_streamed_json_is_the_dump_of_its_list(self, capsys, tmp_path, monkeypatch):
+        real = cli_module.classify
+        report = tmp_path / "report.json"
+        written = []
+
+        def classify(f, **kwargs):
+            # the entries of the maps before this one are already on disk
+            written.append(report.read_text())
+            if str(f.p) == "y":
+                raise MembershipFailedError("injected")
+            return real(f, **kwargs)
+
+        monkeypatch.setattr(cli_module, "classify", classify)
+        batch = tmp_path / "maps.txt"
+        batch.write_text("x ; y + x^2\nnot a map\ny ; x\n")
+        code, out, _ = run(capsys, ["check", "--batch", str(batch), "--json", str(report)])
+        assert code == 2
+        assert out.splitlines()[1] == "[1] skipped (expected 'p ; q'): not a map"
+        text = report.read_text()
+        docs = json.loads(text)
+        assert text == json.dumps(docs, indent=2, sort_keys=True) + "\n"
+        assert [d.get("error") for d in docs] == [None, "MembershipFailedError: injected"]
+        assert written[0] == "" and json.loads(written[1] + "\n]") == docs[:1]
+
+    def test_empty_batch_writes_an_empty_list(self, capsys, tmp_path):
+        batch = tmp_path / "maps.txt"
+        batch.write_text("# nothing to classify\n\n")
+        report = tmp_path / "report.json"
+        code, out, _ = run(capsys, ["check", "--batch", str(batch), "--json", str(report)])
+        assert (code, out) == (0, "")
+        assert report.read_text() == "[]\n"
+
+    def test_unwritable_json_fails_before_the_first_map(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli_module, "classify", lambda f, **kwargs: calls.append(f))
+        batch = tmp_path / "maps.txt"
+        batch.write_text("x ; y + x^2\n")
+        report = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, ["check", "--batch", str(batch), "--json", str(report)])
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("keller check: error: ")
+
     def test_gen_output_feeds_batch(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["gen", "--count", "3", "--seed", "5"])
         assert code == 0

@@ -14,6 +14,7 @@ from keller.errors import (
     MembershipFailedError,
     ResourceCapExceeded,
 )
+from keller.factor import localization_units_check
 from keller.funcfield import uv_decomposition
 from keller.groebner import (
     _TAG_CTX,
@@ -134,9 +135,8 @@ class TestClassifyVerdicts:
         assert isinstance(cold.millis, int)
 
     def test_each_v_image_is_factored_once(self, monkeypatch):
-        # v = u1 is factored once for the report and once more by
-        # stays_irreducible, which validates its input; the units check
-        # reuses the image factorizations instead of redoing them
+        # stage 4 factors v = u1 once, for the report, and its image once:
+        # the units verdict reuses the image factorizations
         calls = []
         real = factor_module.factor_bivariate
 
@@ -145,11 +145,10 @@ class TestClassifyVerdicts:
             return real(g, **kwargs)
 
         monkeypatch.setattr(factor_module, "factor_bivariate", counting)
-        monkeypatch.setattr(pipeline_module, "factor_bivariate", counting)
         report = classify(Endomorphism(X, X * Y), force=True)
         assert report.units.all_units_in_Cpq
         assert calls.count(X) == 1
-        assert calls.count(U1) <= 2
+        assert calls.count(U1) == 1
 
     def test_cap_refusal_becomes_degenerate_for_keller_map(self):
         report = classify(
@@ -331,6 +330,53 @@ _COMPONENT = st.lists(
     min_size=1,
     max_size=4,
 ).map(lambda terms: Polynomial(XY, {(a, b): c for a, b, c in terms}))
+
+
+# (x, xy), (x, x^2 y), (xy, y) and (x, xy + y), each composed after a tame
+# map t, and the one irreducible factor their v can have (or none, v = 1)
+_STAGE_FOUR_FAMILIES = [
+    (Endomorphism(X, X * Y), U1),
+    (Endomorphism(X, X**2 * Y), U1),
+    (Endomorphism(X * Y, Y), U2),
+    (Endomorphism(X, X * Y + Y), U1 + Polynomial.constant(U12, 1)),
+]
+
+
+class TestStageFour:
+    """Stage 4 (the v-factors, their images and the units verdict) on maps
+    forced past the Jacobian gate, where v need not be constant."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("outer, factor", _STAGE_FOUR_FAMILIES)
+    def test_forced_family(self, outer, factor, seed):
+        f = compose(outer, random_tame(seed)[0])
+        report = classify(f, force=True)
+        assert not report.refused and report.uv is not None
+        factors = [vj for vj, _ in report.v_factorization.factors]
+        assert factors in ([factor], [])
+        assert [r.preserved for r in report.v_reports] == [True] * len(factors)
+        assert report.units.all_units_in_Cpq
+        assert report.units == localization_units_check(f, report.uv.v)
+
+    def test_failing_units_verdict(self):
+        two = Polynomial.constant(XY, 2)
+        f = Endomorphism(two - 3 * Y + Y**2 + X**3 * Y**3, 2 * X**2 - 3 * X**3 * Y)
+        report = classify(f, force=True)
+        assert not report.refused
+        minus_three = Polynomial.constant(U12, -3)
+        assert [vj for vj, _ in report.v_factorization.factors] == [minus_three + U2, U2]
+        assert [r.preserved for r in report.v_reports] == [True, False]
+        assert not report.units.all_units_in_Cpq
+        assert report.units == localization_units_check(f, report.uv.v)
+
+    def test_membership_refusal_keeps_the_image_reports(self):
+        # both images factor under the cap, then a membership query climbs
+        # past degree 12: the refused report still shows the image reports
+        f = Endomorphism(-3 * X + 2 * X * Y**2 - X**2 * Y, Y**3)
+        report = classify(f, force=True, stats=RunStats(degree_budget=12))
+        assert report.refused and report.units is None
+        assert [vj for vj, _ in report.v_factorization.factors][0] == U1
+        assert [r.preserved for r in report.v_reports] == [False, False]
 
 
 class TestClassifyProperties:
