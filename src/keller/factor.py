@@ -10,14 +10,15 @@ polynomial, Hensel-lift that split back to a factorization over Q[[y]] to
 enough precision, then recombine subsets by trial division. Non-monic
 inputs are handled with the usual leading-coefficient substitution trick.
 Dense univariate arithmetic (over Z and Z/m) and the subset
-recombination loop live in `univariate.py`. The lift runs on dense
-integer rows: a polynomial in x over Q[y]/(y**k) is a list over x-degree
-of integer lists over y-degree with one denominator, and products stop
-below y**k while they multiply; its Bezout seeds come from
-`univariate._xgcd_z` as integer lists over one denominator. Recombination
-multiplies lifted factors and tests integrality on the same rows; only an
-integral candidate becomes a `Polynomial` (`poly._from_rows`), for the
-trial division.
+recombination loop live in `univariate.py`. The lift is linear: one
+power of y at a time, solved against one fixed Bezout pair from
+`univariate._xgcd_z`, so on a true factorization every lifted
+coefficient is an integer. It hands back dense integer rows: a
+polynomial in x over Q[y]/(y**k) is a list over x-degree of integer
+lists over y-degree with one denominator. Recombination multiplies
+lifted factors below y**k and tests integrality on the same rows; only
+an integral candidate becomes a `Polynomial` (`poly._from_rows`), for
+the trial division.
 
 The absolute-irreducibility certificate counts the solutions of a linear
 system with `_nullity`, fraction-free over Z. On top of that sits stage
@@ -138,7 +139,9 @@ _CERTIFICATE_POINTS = 5
 #
 # The lift runs on truncated series: a polynomial in x over Q[y]/(y**k) is a
 # pair (rows, den), rows[i] the k integer y-coefficients of x**i and den one
-# positive denominator for the whole polynomial.
+# positive denominator for the whole polynomial. While lifting, each power
+# of y is one x-polynomial (int list, den) in lowest terms; the rows are
+# built once at the end.
 
 
 def _reduced(rows: List[List[int]], den: int) -> Tuple[List[List[int]], int]:
@@ -171,87 +174,60 @@ def _s_mul(a, b, k: int):
     return _reduced(out, da * db)
 
 
-def _s_add(a, b, k: int, sign: int = 1):
-    """a + sign * b."""
-    (A, da), (B, db) = a, b
-    g = math.gcd(da, db)
-    fa, fb = db // g, sign * (da // g)
-    out = [
-        [u * fa + v * fb for u, v in zip(ra, rb)]
-        for ra, rb in itertools.zip_longest(A, B, fillvalue=[0] * k)
-    ]
-    return _reduced(out, da // g * db)
+def _lowest(f: List[int], den: int) -> Tuple[List[int], int]:
+    """f / den in lowest terms."""
+    g = math.gcd(den, *f)
+    return [c // g for c in f], den // g
 
 
-def _s_divmod(a, h, k: int):
-    """Quotient and remainder of a by h, monic in x, below y**k.
+def _rows(coeffs, m: int):
+    """The series sum(c_j / d_j * y**j) for coeffs = [(c_j, d_j)] as
+    (rows, den), in lowest terms when every (c_j, d_j) is."""
+    den = math.lcm(*(d for _, d in coeffs))
+    rows = [[0] * m for _ in range(len(coeffs[0][0]))]
+    for j, (c, d) in enumerate(coeffs):
+        for i, v in enumerate(c):
+            rows[i][j] = v * (den // d)
+    return rows, den
 
-    h = H / dh with top row H[n] = [dh, 0, ...], so each step is one
-    pseudo-division step: scale by dh, subtract lead * H.
+
+def _lift_linear(F, g0: List[int], h0: List[int], m: int):
+    """Lift F == g0*h0 (mod y), g0 and h0 monic and coprime, to F == G*H
+    (mod y**m) with G and H monic in x.
+
+    The linear lift of Wang's EEZ (Math. Comp. 32, 1978; Geddes, Czapor
+    and Labahn, Algorithms for Computer Algebra, ch. 6): with s*g0 + t*h0
+    == d from `_xgcd_z`, never lifted, step j solves for the y**j
+    coefficients. E_j = F_j - sum(G_i*H_{j-i}, 0 < i < j) must equal
+    g0*H_j + h0*G_j; s*E_j = q*h0 + r gives H_j = r/d and G_j = (t*E_j +
+    q*g0)/d, with deg H_j < deg h0 and deg G_j < deg g0. The monic lift of
+    a coprime split is unique, so G and H are the factors over Z whenever
+    the split is a true factorization.
     """
-    (A, den), (H, dh) = a, h
-    n = len(H) - 1
-    rem = [list(r) for r in A]
-    quo = []
-    while len(rem) > n:
-        lead = rem.pop()
-        quo.append(lead)
-        if dh != 1:
-            rem = [[c * dh for c in r] for r in rem]
-            quo = [[c * dh for c in r] for r in quo]
-            den *= dh
-        for row, hi in zip(rem[len(rem) - n :], H):
-            for p, c in enumerate(lead):
-                if c:
-                    for q in range(k - p):
-                        row[p + q] -= c * hi[q]
-    quo.reverse()
-    return _reduced(quo, den), _reduced(rem, den)
-
-
-def _lift_pair(F, g, h, s, t, m: int):
-    """Lift F == g*h (mod y) with s*g + t*h == 1 (mod y) to precision y**m.
-
-    The quadratic lift of von zur Gathen and Gerhard (Modern Computer
-    Algebra, 15.10) on series; g and h are monic in x, and s, t are not
-    lifted past the last step.
-    """
-    k = 1
-    while True:
-        k = min(2 * k, m)
-        g, h, s, t = (_at(a, k) for a in (g, h, s, t))
-        e = _s_add(_at(F, k), _s_mul(g, h, k), k, -1)
-        q, r = _s_divmod(_s_mul(s, e, k), h, k)
-        g = _s_add(g, _s_add(_s_mul(t, e, k), _s_mul(q, g, k), k), k)
-        h = _s_add(h, r, k)
-        if k == m:
-            return g, h
-        one = ([[1] + [0] * (k - 1)], 1)
-        b = _s_add(_s_add(_s_mul(s, g, k), _s_mul(t, h, k), k), one, k, -1)
-        c, d = _s_divmod(_s_mul(s, b, k), h, k)
-        s = _s_add(s, d, k, -1)
-        t = _s_add(t, _s_add(_s_mul(t, b, k), _s_mul(c, g, k), k), k, -1)
-
-
-def _seed(f: List[int], den: int = 1):
-    """The series f / den, f an integer list in x, constant in y."""
-    return _reduced([[c] for c in f], den)
+    rows, den = F
+    s, t, d = uni._xgcd_z(g0, h0)
+    G, H = [(g0, 1)], [(h0, 1)]
+    for j in range(1, m):
+        pairs = [(G[i], H[j - i]) for i in range(1, j)]
+        e_den = math.lcm(den, *(dg * dh for (_, dg), (_, dh) in pairs))
+        e = uni.strip([r[j] * (e_den // den) for r in rows])
+        for (a, dg), (b, dh) in pairs:
+            e = uni.sub(e, uni.scale(uni.mul(a, b), e_den // (dg * dh)))
+        q, r = uni._divmod_monic(uni.mul(s, e), h0)
+        G.append(_lowest(uni.add(uni.mul(t, e), uni.mul(q, g0)), d * e_den))
+        H.append(_lowest(r, d * e_den))
+    return _rows(G, m), _rows(H, m)
 
 
 def _lift_tree(F, parts: List[List[int]], m: int) -> list:
-    """Lift a univariate split of the series F mod y to one mod y**m.
-
-    The seeds s/d and t/d are the Bezout cofactors over Q of the two
-    halves with deg s < deg h0 and deg t < deg g0, which are unique, so the
-    lift sees the same series whichever way they are computed.
-    """
+    """Lift a univariate split of the series F mod y to one mod y**m,
+    halving the parts at each level."""
     if len(parts) == 1:
         return [F]
     k = len(parts) // 2
     g0 = functools.reduce(uni.mul, parts[:k])
     h0 = functools.reduce(uni.mul, parts[k:])
-    s, t, d = uni._xgcd_z(g0, h0)
-    g, h = _lift_pair(F, _seed(g0), _seed(h0), _seed(s, d), _seed(t, d), m)
+    g, h = _lift_linear(F, g0, h0, m)
     return _lift_tree(g, parts[:k], m) + _lift_tree(h, parts[k:], m)
 
 

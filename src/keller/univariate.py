@@ -3,8 +3,9 @@
 Polynomials are dense lists, ascending degree, no trailing zeros. This
 module is the package's one home for that format: one helper per
 operation and coefficient domain (Z has `add`/`sub`/`mul`/`strip`, the
-exact division `_quo_z`, the gcd `gcd_z` and the Bezout cofactors
-`_xgcd_z` that seed the y-adic Hensel lift; Z/m has
+exact division `_quo_z`, the division by a monic divisor `_divmod_monic`,
+the gcd `gcd_z` and the Bezout cofactors `_xgcd_z`, the fixed pair of the
+y-adic Hensel lift; Z/m has
 `_mod`/`_mul_mod`/`_divmod_mod`), and the one Zassenhaus
 subset-recombination loop `_recombine`, which the bivariate factorizer in
 `factor.py` shares. No coefficient is ever a fraction: where the
@@ -127,6 +128,20 @@ def _quo_z(f: IntPoly, g: IntPoly):
             for i in range(dg):
                 r[k + i] -= c * g[i]
     return None if any(r[:dg]) else q
+
+
+def _divmod_monic(f: IntPoly, g: IntPoly) -> Tuple[IntPoly, IntPoly]:
+    """(q, r) with f == q*g + r and deg r < deg g, for g monic in Z[x]."""
+    dg = len(g) - 1
+    r = list(f)
+    q = [0] * max(len(f) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + dg]
+        if c:
+            q[k] = c
+            for i in range(dg):
+                r[k + i] -= c * g[i]
+    return strip(q), strip(r[:dg])
 
 
 def _horner(f: IntPoly, x: int) -> int:
@@ -267,14 +282,8 @@ def _mod(f: IntPoly, m: int) -> List[int]:
 
 
 def _mul_mod(f, g, m):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % m
-    return strip(out)
+    """f * g mod m, reduced once per coefficient of the exact product."""
+    return _mod(mul(f, g), m)
 
 
 def _divmod_mod(f, g, m):

@@ -12,10 +12,9 @@ from keller.errors import DegreeCapExceeded
 from keller.factor import (
     _at,
     _certified_squarefree,
-    _lift_pair,
+    _lift_linear,
     _nullity,
     _s_mul,
-    _seed,
     _yun,
     absolute_irreducibility,
     factor_bivariate,
@@ -214,11 +213,26 @@ class TestHenselLift:
         assume(uni.deg(uni.gcd_z(g0, h0)) == 0)
         G, H = _at((G, 1), m), _at((H, 1), m)
         F = _s_mul(G, H, m)
-        s, t, d = uni._xgcd_z(g0, h0)
-        g, h = _lift_pair(F, _seed(g0), _seed(h0), _seed(s, d), _seed(t, d), m)
+        g, h = _lift_linear(F, g0, h0, m)
         assert _s_mul(g, h, m) == F
         # a monic lift of coprime images is unique
         assert (g, h) == (G, H)
+
+    @given(monic_rows(), monic_rows(), st.data(), st.integers(1, 9))
+    def test_split_that_is_no_factorization(self, G, H, data, m):
+        # F is monic with F mod y == g0*h0, but its higher powers of y are
+        # random, so the lifted series are over Q rather than Z
+        g0, h0 = [r[0] for r in G], [r[0] for r in H]
+        assume(uni.deg(uni.gcd_z(g0, h0)) == 0)
+        f0 = uni.mul(g0, h0)
+        tail = st.lists(st.integers(-3, 3), max_size=3)
+        tails = data.draw(st.lists(tail, min_size=len(f0) - 1, max_size=len(f0) - 1))
+        F = _at(([[c] + r for c, r in zip(f0, tails)] + [[1]], 1), m)
+        g, h = _lift_linear(F, g0, h0, m)
+        assert _s_mul(g, h, m) == F
+        for (rows, den), a0 in ((g, g0), (h, h0)):
+            assert [r[0] for r in rows] == uni.scale(a0, den)
+            assert rows[-1] == [den] + [0] * (m - 1)
 
 
 class TestFactorBivariate:
