@@ -26,7 +26,8 @@ class ExactDivisionError(KellerError):
 
 
 class ResourceCapExceeded(KellerError):
-    """A Groebner computation hit its S-pair or intermediate-degree cap."""
+    """A computation hit a work cap: a Groebner S-pair, degree or
+    coefficient cap, or the trial cap of subset recombination."""
 
 
 class DegreeCapExceeded(KellerError):

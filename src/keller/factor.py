@@ -4,21 +4,24 @@ Squarefree parts come from Yun's loop, which is skipped when one integer
 image of a primitive input is squarefree of full degree, since that proves
 the input squarefree.
 
-The factor engine works on primitive squarefree parts: evaluate at a good
-point on the second variable, factor the resulting univariate integer
-polynomial, Hensel-lift that split back to a factorization over Q[[y]] to
-enough precision, then recombine subsets by trial division. Non-monic
-inputs are handled with the usual leading-coefficient substitution trick.
-Dense univariate arithmetic (over Z and Z/m) and the subset
-recombination loop live in `univariate.py`. The lift is linear: one
-power of y at a time, solved against one fixed Bezout pair from
-`univariate._xgcd_z`, so on a true factorization every lifted
-coefficient is an integer. It hands back dense integer rows: a
-polynomial in x over Q[y]/(y**k) is a list over x-degree of integer
-lists over y-degree with one denominator. Recombination multiplies
-lifted factors below y**k and tests integrality on the same rows; only
-an integral candidate becomes a `Polynomial` (`poly._from_rows`), for
-the trial division.
+The factor engine works on primitive squarefree parts in one or two
+variables, all on dense integer rows (one integer list over y per power
+of x) from the monic transform to the answer: make the part monic in x
+by the leading-coefficient substitution lc**(n-1) * f(x / lc, y),
+evaluate at a good point on y, factor the resulting univariate integer
+polynomial, Hensel-lift that split back to a factorization over Q[[y]]
+to enough precision, then recombine subsets by trial division. A part in
+one variable has singleton rows; its univariate factors are its factors,
+and nothing is lifted. The lift is linear: one power of y at a time,
+solved against one fixed Bezout pair from `univariate._xgcd_z`, so on a
+true factorization every lifted coefficient is an integer. A polynomial
+in x over Q[y]/(y**k) is a list over x-degree of integer lists over
+y-degree with one denominator. Recombination multiplies lifted factors
+below y**k, tests integrality on the same rows and divides the shifted
+monic rows by an integral candidate (`_quo_rows`). The lift tree, the
+subset-recombination loop and the dense arithmetic live in
+`univariate.py`. Undoing the shift and the substitution works on rows
+too; only a final factor becomes a `Polynomial` (`poly._from_rows`).
 
 The absolute-irreducibility certificate counts the solutions of a linear
 system with `_nullity`, fraction-free over Z. On top of that sits stage
@@ -41,7 +44,6 @@ from . import univariate as uni
 from .errors import (
     AlgebraicallyDependentError,
     DegreeCapExceeded,
-    ExactDivisionError,
     InternalInconsistencyError,
 )
 from .groebner import RunStats, subring_membership
@@ -50,7 +52,6 @@ from .poly import (
     Polynomial,
     VarContext,
     _eval_others,
-    _from_list,
     _from_rows,
     _gcd_cofactors,
     _split_var_content,
@@ -219,28 +220,7 @@ def _lift_linear(F, g0: List[int], h0: List[int], m: int):
     return _rows(G, m), _rows(H, m)
 
 
-def _lift_tree(F, parts: List[List[int]], m: int) -> list:
-    """Lift a univariate split of the series F mod y to one mod y**m,
-    halving the parts at each level."""
-    if len(parts) == 1:
-        return [F]
-    k = len(parts) // 2
-    g0 = functools.reduce(uni.mul, parts[:k])
-    h0 = functools.reduce(uni.mul, parts[k:])
-    g, h = _lift_linear(F, g0, h0, m)
-    return _lift_tree(g, parts[:k], m) + _lift_tree(h, parts[k:], m)
-
-
-# -- the bivariate factor engine ----------------------------------------------
-
-
-def _factor_univariate_image(f: Polynomial, name: str) -> List[Polynomial]:
-    """Irreducible factors of a squarefree polynomial using only one variable."""
-    ctx = f.context
-    vi = ctx.index(name)
-    # no other variable occurs, so the image at 1 is the dense list
-    dense = _eval_others(f.num, vi, 1)
-    return [_from_list(ctx, vi, g).normalized() for g in uni.factor_squarefree(dense)]
+# -- the factor engine ---------------------------------------------------------
 
 
 def _shifted(f: List[int], c: int) -> List[int]:
@@ -251,19 +231,38 @@ def _shifted(f: List[int], c: int) -> List[int]:
     return out
 
 
+def _quo_rows(a: List[List[int]], b: List[List[int]]) -> Optional[List[List[int]]]:
+    """a / b for integer rows a and b, b monic in x, when b divides a in
+    Z[y][x], else None. An exact quotient has no row of higher y-degree
+    than a, so a longer row ends the division early."""
+    db = len(b) - 1
+    width = max(map(len, a))
+    r = [list(row) for row in a]
+    q: List[List[int]] = [[] for _ in range(len(a) - db)]
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = r[k + db]
+        if len(c) > width:
+            return None
+        for i in range(db):
+            r[k + i] = uni.sub(r[k + i], uni.mul(c, b[i]))
+    return None if any(r[:db]) else q
+
+
 def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
-    """Irreducible factors of a primitive squarefree bivariate polynomial.
+    """Irreducible factors of a primitive squarefree polynomial in one or
+    two variables.
 
     Splits off the coefficient content with respect to the chosen main
-    variable first, so factors living in a single variable are not lost.
+    variable x first, so factors living in a single variable are not lost.
+    A part in one variable is a polynomial in x of y-degree 0: its rows
+    are singletons, the univariate image is the part itself, and nothing
+    is lifted.
     """
     ctx = part.context
     used = part.variables_used()
-    if len(used) == 1:
-        return _factor_univariate_image(part, used[0])
     if len(used) > 2:
         raise ValueError("factorization supports at most two active variables")
-    xn, yn = used[0], used[1]
+    xn, yn = used[0], used[-1]
     # keep the smaller x-degree for the monic trick
     if part.degree_in(xn) > part.degree_in(yn):
         xn, yn = yn, xn
@@ -287,17 +286,14 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
         return [part.normalized()]
 
     # the dense y-lists of the coefficients in x, then the monic form
-    # lc**(n-1) * part(x / lc, y), whose top row is [1]
+    # lc**(n-1) * part(x / lc, y), whose top row is [1]; sum(e) - e[xi] is
+    # the y-degree, and 0 when x is the only variable
     rows = [[0] * (part.degree_in(yn) + 1) for _ in range(n + 1)]
     for e, c in part.num.items():
-        rows[e[xi]][e[yi]] = c
-    rows = [uni.strip(r) for r in rows]
+        rows[e[xi]][sum(e) - e[xi]] = c
     lc = rows[n]
-    power = [1]
-    for i in range(n - 1, -1, -1):
-        rows[i] = uni.mul(rows[i], power)
-        power = uni.mul(power, lc)
-    rows[n] = [1]
+    powers = list(itertools.accumulate([lc] * n, uni.mul, initial=[1]))
+    rows = [uni.mul(r, powers[n - 1 - i]) for i, r in enumerate(rows[:n])] + [[1]]
 
     # evaluation point with a squarefree image
     u = None
@@ -314,44 +310,38 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
     if len(seed_parts) == 1:
         return [part.normalized()]
 
-    if point:
-        rows = [_shifted(r, point) for r in rows]
-    fshift = _from_rows(ctx, xi, yi, rows) if point or lc != [1] else part
+    # the factors of the shifted monic form, as rows
+    rows = [_shifted(r, point) for r in rows] if point else rows
     m = max(map(len, rows))
-    lifted = _lift_tree(_at((rows, 1), m), seed_parts, m)
+    if m == 1:
+        found = [[[c] for c in g] for g in seed_parts]
+    else:
+        lift_pair = functools.partial(_lift_linear, m=m)
+        lifted = uni._lift_tree(_at((rows, 1), m), seed_parts, lift_pair)
 
-    def trial(combo, remaining):
-        cand = lifted[combo[0]]
-        for i in combo[1:]:
-            cand = _s_mul(cand, lifted[i], m)
-        if cand[1] != 1:
-            return None
-        cand = _from_rows(ctx, xi, yi, cand[0])
-        try:
-            return cand, remaining.exact_div(cand)
-        except ExactDivisionError:
-            return None
+        def trial(combo, remaining):
+            cand = lifted[combo[0]]
+            for i in combo[1:]:
+                cand = _s_mul(cand, lifted[i], m)
+            if cand[1] != 1:
+                return None
+            cand = [uni.strip(r) for r in cand[0]]
+            q = _quo_rows(remaining, cand)
+            return None if q is None else (cand, q)
 
-    found, remaining = uni._recombine(len(lifted), fshift, trial)
-    if remaining.degree_in(xn) >= 1:
-        found.append(remaining)
+        found, remaining = uni._recombine(len(lifted), rows, trial)
+        if len(remaining) > 1:
+            found.append(remaining)
 
-    # undo the shift, then undo the monic substitution x -> lc(y) * x
+    # undo the shift, then the monic substitution x -> lc(y) * x: row i
+    # gains lc**i, and the content in y that this brings in is divided out
     out = []
-    unshift = {name: Polynomial.variable(ctx, name) for name in ctx.names}
-    if point:
-        unshift[yn] = Polynomial.variable(ctx, yn) - Polynomial.constant(ctx, point)
-    unmonic = {name: Polynomial.variable(ctx, name) for name in ctx.names}
-    unmonic[xn] = _from_list(ctx, yi, lc) * Polynomial.variable(ctx, xn)
     for g in found:
-        if point:
-            g = g.substitute(unshift)
-        if lc != [1]:
-            g = g.substitute(unmonic)
-            # the substitution smuggles in powers of lc(y): strip the content
-            # of g viewed as a polynomial in x
-            g = _split_var_content(g, xi)[1]
-        out.append(g.normalized())
+        g = [_shifted(r, -point) for r in g] if point else g
+        g = [uni.mul(r, power) for r, power in zip(g, powers)]
+        cont_y = functools.reduce(uni.gcd_z, g)
+        g = [uni._quo_z(r, cont_y) for r in g]
+        out.append(_from_rows(ctx, xi, yi, g).normalized())
 
     check = Polynomial.constant(ctx, 1)
     for g in out:

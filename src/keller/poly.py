@@ -756,14 +756,15 @@ def _from_list(context: VarContext, i: int, f: Sequence[int]) -> Polynomial:
 
 
 def _from_rows(context: VarContext, i: int, j: int, rows: Sequence[list]) -> Polynomial:
-    """The polynomial sum rows[a][b] * x_i**a * x_j**b for dense integer rows."""
+    """The polynomial sum rows[a][b] * x_i**a * x_j**b for dense integer rows;
+    j == i when no row has more than one entry."""
     base = [0] * context.arity
     num = {}
     for a, row in enumerate(rows):
-        base[i] = a
         for b, c in enumerate(row):
             if c:
                 base[j] = b
+                base[i] = a
                 num[tuple(base)] = c
     return Polynomial._raw(context, num)
 

@@ -4,13 +4,15 @@ Polynomials are dense lists, ascending degree, no trailing zeros. This
 module is the package's one home for that format: one helper per
 operation and coefficient domain (Z has `add`/`sub`/`mul`/`strip`, the
 exact division `_quo_z`, the division by a monic divisor `_divmod_monic`,
-the gcd `gcd_z` and the Bezout cofactors `_xgcd_z`, the fixed pair of the
-y-adic Hensel lift; Z/m has
-`_mod`/`_mul_mod`/`_divmod_mod`), and the one Zassenhaus
-subset-recombination loop `_recombine`, which the bivariate factorizer in
-`factor.py` shares. No coefficient is ever a fraction: where the
-arithmetic is over Q, as in the Bezout cofactors, it runs on integer
-multiples and hands back a common denominator.
+the gcd `gcd_z` and the Bezout cofactors `_xgcd_z`; Z/m has
+`_mod`/`_mul_mod`/`_divmod_mod`). It is also the one home of the steps
+that the p-adic lift here and the y-adic lift in `factor.py` share: the
+halving lift tree `_lift_tree`, whose pair lifts both take their Bezout
+pair from `_xgcd_z`, and the Zassenhaus subset-recombination loop
+`_recombine`, under the trial cap `MAX_RECOMBINE_TRIALS`. No coefficient
+is ever a fraction: where the arithmetic is over Q, as in the Bezout
+cofactors, it runs on integer multiples and hands back a common
+denominator.
 
 `gcd_z` is the heuristic gcd of Char, Geddes and Gonnet (1989): one
 integer gcd of the two inputs' values at a large point, read back as a
@@ -19,19 +21,22 @@ polynomial and checked by exact division in Z[x]. Its evaluation points,
 the primitive pseudo-remainder sequence `_gcd_prs` runs only when every
 point fails.
 
-Factorization takes a squarefree input, since `factor.py` splits off the
-squarefree parts first. The pipeline is classical: distinct factors modulo
-a suitable prime (Berlekamp), Hensel lifting past the factor coefficient
-bound, then subset recombination with trial division. Everything is exact.
+`factor_squarefree_monic` takes a monic squarefree input: `factor.py`
+splits off the squarefree parts and makes each one monic, in one or two
+variables alike. The pipeline is classical: distinct factors modulo a
+suitable prime (Berlekamp), quadratic Hensel lifting past the factor
+coefficient bound, then subset recombination with trial division.
+Everything is exact.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from itertools import combinations
 from typing import List, Tuple
 
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, ResourceCapExceeded
 
 IntPoly = List[int]
 
@@ -418,59 +423,49 @@ def _berlekamp(f: List[int], p: int) -> List[List[int]]:
 # -- Hensel lifting -----------------------------------------------------------
 
 
-def _xgcd_mod(f, g, p):
-    """(s, t) with s*f + t*g == 1 mod p for coprime f, g."""
-    r0, r1 = list(f), list(g)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _divmod_mod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _mod(sub(s0, _mul_mod(q, s1, p)), p)
-        t0, t1 = t1, _mod(sub(t0, _mul_mod(q, t1, p)), p)
-    if deg(r0) != 0:
-        raise InternalInconsistencyError("expected coprime polynomials mod p")
-    inv = pow(r0[0], -1, p)
-    return _mod(scale(s0, inv), p), _mod(scale(t0, inv), p)
+def _hensel_pair(f, g, h, p, m):
+    """Lift f == g*h (mod p) to f == g*h (mod m), m = p**(2**k) >= p.
 
-
-def _hensel_pair(f, g, h, s, t, p, target):
-    """Lift f == g*h (mod p) with s*g + t*h == 1 to modulus >= target.
-
-    All of f, g, h monic; returns (g*, h*) monic with f == g*h* mod p**k
-    for the first p**k >= target.
+    f, g and h are monic and g, h coprime mod p; returns (g, h) monic mod m.
+    The Bezout pair s*g + t*h == 1 (mod p) that the quadratic lift carries
+    along (von zur Gathen and Gerhard, Modern Computer Algebra, Algorithm
+    15.10) comes from `_xgcd_z` of the reductions mod p: over Z it gives
+    s*g + t*h == d, where d is the least common denominator of the Bezout
+    cofactors over Q. Sylvester's matrix writes Res(g, h) as an integral
+    combination of g and h under the same degree bounds, so d divides
+    Res(g, h); g and h are monic and coprime mod p, so Res(g, h) is a unit
+    mod p, and so is d.
     """
-    m = p
-    g, h, s, t = _mod(g, m), _mod(h, m), _mod(s, m), _mod(t, m)
-    while m < target:
-        m2 = m * m
-        e = _mod(sub(f, mul(g, h)), m2)
-        q, r = _divmod_mod(_mul_mod(s, e, m2), h, m2)
-        g1 = _mod(add(g, add(_mul_mod(t, e, m2), _mul_mod(q, g, m2))), m2)
-        h1 = _mod(add(h, r), m2)
-        b = _mod(sub(add(_mul_mod(s, g1, m2), _mul_mod(t, h1, m2)), [1]), m2)
-        c, d = _divmod_mod(_mul_mod(s, b, m2), h1, m2)
-        s1 = _mod(sub(s, d), m2)
-        t1 = _mod(sub(t, add(_mul_mod(t, b, m2), _mul_mod(c, g1, m2))), m2)
+    g, h = _mod(g, p), _mod(h, p)
+    s, t, d = _xgcd_z(g, h)
+    inv = pow(d, -1, p)
+    s, t = _mod(scale(s, inv), p), _mod(scale(t, inv), p)
+    k = p
+    while k < m:
+        k2 = k * k
+        e = _mod(sub(f, mul(g, h)), k2)
+        q, r = _divmod_mod(_mul_mod(s, e, k2), h, k2)
+        g1 = _mod(add(g, add(_mul_mod(t, e, k2), _mul_mod(q, g, k2))), k2)
+        h1 = _mod(add(h, r), k2)
+        b = _mod(sub(add(_mul_mod(s, g1, k2), _mul_mod(t, h1, k2)), [1]), k2)
+        c, d = _divmod_mod(_mul_mod(s, b, k2), h1, k2)
+        s1 = _mod(sub(s, d), k2)
+        t1 = _mod(sub(t, add(_mul_mod(t, b, k2), _mul_mod(c, g1, k2))), k2)
         g, h, s, t = g1, h1, s1, t1
-        m = m2
-    return g, h, m
+        k = k2
+    return g, h
 
 
-def _hensel_multi(f, parts, p, target):
-    """Lift a monic factorization mod p of monic f to modulus >= target."""
+def _lift_tree(f, parts: list, lift_pair) -> list:
+    """Lift a split of f into local factors `parts`, halving the parts at
+    each level; lift_pair(f, g0, h0) lifts the split of f into the products
+    g0 and h0 of the two halves and returns the lifted pair. Both the p-adic
+    lift here and the y-adic lift of `factor.py` run on this tree."""
     if len(parts) == 1:
         return [f]
     k = len(parts) // 2
-    g0 = [1]
-    for q in parts[:k]:
-        g0 = _mul_mod(g0, q, p)
-    h0 = [1]
-    for q in parts[k:]:
-        h0 = _mul_mod(h0, q, p)
-    s, t = _xgcd_mod(g0, h0, p)
-    g, h, m = _hensel_pair(f, g0, h0, s, t, p, target)
-    return _hensel_multi(g, parts[:k], p, m) + _hensel_multi(h, parts[k:], p, m)
+    g, h = lift_pair(f, functools.reduce(mul, parts[:k]), functools.reduce(mul, parts[k:]))
+    return _lift_tree(g, parts[:k], lift_pair) + _lift_tree(h, parts[k:], lift_pair)
 
 
 _PRIMES = [
@@ -490,6 +485,10 @@ def _symmetric(f, m):
     return strip(out)
 
 
+# subsets one `_recombine` call may try before it refuses
+MAX_RECOMBINE_TRIALS = 1024
+
+
 def _recombine(count: int, whole, trial) -> tuple:
     """Zassenhaus subset recombination over `count` lifted local factors.
 
@@ -497,12 +496,19 @@ def _recombine(count: int, whole, trial) -> tuple:
     lifted factors indexed by combo yields a true factor of whole, else
     None. Subsets are tried by increasing size; each hit drops its indices
     and replaces whole by the quotient. Returns (factors found, remainder).
+    The number of subsets grows like 2**count, so past
+    `MAX_RECOMBINE_TRIALS` trials the search refuses.
     """
     found = []
     idx = list(range(count))
     size = 1
+    tried = itertools.count(1)
     while 2 * size <= len(idx):
-        for combo in combinations(idx, size):
+        for combo in itertools.combinations(idx, size):
+            if next(tried) > MAX_RECOMBINE_TRIALS:
+                raise ResourceCapExceeded(
+                    f"subset recombination exceeds the cap of {MAX_RECOMBINE_TRIALS} trials"
+                )
             hit = trial(combo, whole)
             if hit is not None:
                 break
@@ -538,11 +544,10 @@ def factor_squarefree_monic(f: IntPoly) -> List[IntPoly]:
         return [list(f)]
     norm2 = math.isqrt(sum(c * c for c in f)) + 1
     bound = 2 * (1 << n) * norm2
-    lifted = _hensel_multi(f, parts, p, bound)
     m = p
     while m < bound:
         m *= m
-    lifted = [_mod(g, m) for g in lifted]
+    lifted = _lift_tree(f, parts, functools.partial(_hensel_pair, p=p, m=m))
 
     def trial(combo, current):
         cand = [1]
@@ -566,31 +571,3 @@ def factor_squarefree_monic(f: IntPoly) -> List[IntPoly]:
     if check != list(f):
         raise InternalInconsistencyError("monic factorization failed to multiply back")
     return result
-
-
-def factor_squarefree(f: IntPoly) -> List[IntPoly]:
-    """Irreducible factors of a primitive squarefree integer polynomial."""
-    f = primitive(list(f))
-    n = deg(f)
-    if n <= 0:
-        return []
-    if n == 1:
-        return [f]
-    lc = f[-1]
-    if lc == 1:
-        return factor_squarefree_monic(f)
-    # make monic: F(x) = lc**(n-1) * f(x / lc)
-    F = [f[i] * lc ** (n - 1 - i) for i in range(n)] + [1]
-    monic_factors = factor_squarefree_monic(F)
-    out = []
-    for G in monic_factors:
-        # map back through x -> lc * x and strip content
-        g = [c * lc**i for i, c in enumerate(G)]
-        out.append(primitive(g))
-    check = [1]
-    for g in out:
-        check = mul(check, g)
-    if primitive(check) != f:
-        raise InternalInconsistencyError("factor recombination failed to multiply back")
-    return sorted(out)
-

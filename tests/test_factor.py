@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from keller import univariate as uni
-from keller.errors import DegreeCapExceeded
+from keller.errors import DegreeCapExceeded, ResourceCapExceeded
 from keller.factor import (
     _at,
     _certified_squarefree,
@@ -400,6 +400,28 @@ class TestFactorBivariate:
             assert g.normalized() == g
             assert g not in seen
             seen.add(g)
+
+
+def roots_plus(k, top):
+    """(x - 1)...(x - k) + y*(x^3 + 1) + y^top: irreducible, with k linear
+    local factors at y = 0, so recombination tries subsets of k factors."""
+    f = X**3 * Y + Y + Y**top
+    prod = Polynomial.constant(XY, 1)
+    for r in range(1, k + 1):
+        prod = prod * (X - Polynomial.constant(XY, r))
+    return prod + f
+
+
+class TestRecombinationCap:
+    def test_ten_local_factors_fit_under_the_cap(self):
+        # 637 trials, all spurious: the whole stays one factor
+        f = roots_plus(10, 30)
+        assert factor_bivariate(f, degree_cap=30).factors == ((f.normalized(), 1),)
+
+    def test_fourteen_local_factors_are_refused(self):
+        # 9907 trials without the cap
+        with pytest.raises(ResourceCapExceeded, match="recombination exceeds the cap of 1024"):
+            factor_bivariate(roots_plus(14, 16), degree_cap=20)
 
 
 class TestAbsoluteIrreducibility:

@@ -12,9 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from keller import univariate as uni
-from keller.errors import InternalInconsistencyError
-from keller.factor import squarefree_decomposition
-from keller.poly import U12, Polynomial
+from keller.errors import InternalInconsistencyError, ResourceCapExceeded
+from keller.factor import factor_bivariate, squarefree_decomposition
+from keller.poly import U12, Polynomial, VarContext
 
 from oracles import (
     _u_exact_div,
@@ -268,8 +268,35 @@ def small_products(draw):
     return f
 
 
+# a one-variable context: the factor engine reads its rows with j == i
+Z = VarContext(("z",))
+
+
+def factor_dense(f, ctx=U12):
+    """(content, factors) of ``factor_bivariate`` on the dense list f in the
+    first variable of ctx, each factor a dense list, in the factorization's
+    order; every input here is squarefree, so each multiplicity is 1."""
+    pad = (0,) * (ctx.arity - 1)
+    poly = Polynomial(ctx, {(i,) + pad: c for i, c in enumerate(f) if c})
+    fact = factor_bivariate(poly, degree_cap=max(len(f) - 1, 0))
+    assert all(m == 1 for _, m in fact.factors)
+    name = ctx.names[0]
+    dense = [
+        [int(g.terms.get((i,) + pad, 0)) for i in range(g.degree_in(name) + 1)]
+        for g, _ in fact.factors
+    ]
+    return fact.content, dense
+
+
+def factors_of(f, ctx=U12):
+    return sorted(factor_dense(f, ctx)[1])
+
+
 class TestFactor:
-    """factor_squarefree on squarefree inputs; factor.py splits off the rest."""
+    """One-variable squarefree inputs through ``factor_bivariate``: the same
+    monic transform and point search as two variables, with nothing to
+    lift. Factors are primitive with a positive lead; the content and sign
+    go to the factorization's content."""
 
     @pytest.mark.parametrize(
         "f,factors",
@@ -285,11 +312,12 @@ class TestFactor:
         ],
     )
     def test_exact_factors(self, f, factors):
-        assert sorted(uni.factor_squarefree(f)) == factors
+        assert factors_of(f, Z) == factors
+        assert factors_of(f) == factors
 
     def test_twelfth_cyclotomic_split(self):
         f = [-1] + [0] * 11 + [1]
-        factors = uni.factor_squarefree(f)
+        factors = factors_of(f)
         assert sorted(uni.deg(g) for g in factors) == [1, 1, 2, 2, 2, 4]
         back = [1]
         for g in factors:
@@ -298,16 +326,17 @@ class TestFactor:
 
     def test_nonmonic(self):
         # 6x^2 + x - 2 = (2x - 1)(3x + 2)
-        assert uni.factor_squarefree([-2, 1, 6]) == [[-1, 2], [2, 3]]
+        assert factor_dense([-2, 1, 6], Z) == (1, [[-1, 2], [2, 3]])
+        assert factor_dense([-2, 1, 6]) == (1, [[-1, 2], [2, 3]])
 
     def test_content_and_sign_dropped(self):
-        assert uni.factor_squarefree([-4, 0, -4]) == [[1, 0, 1]]
+        assert factor_dense([-4, 0, -4], Z) == (-4, [[1, 0, 1]])
 
     def test_constant_has_no_factors(self):
-        assert uni.factor_squarefree([7]) == []
+        assert factor_dense([7]) == (7, [])
 
     def test_irreducible_quartic_stays_whole(self):
-        assert uni.factor_squarefree([-2, 0, 0, 0, 1]) == [[-2, 0, 0, 0, 1]]
+        assert factors_of([-2, 0, 0, 0, 1]) == [[-2, 0, 0, 0, 1]]
 
     def test_matches_reference_to_degree_four(self):
         rng = random.Random(5)
@@ -315,13 +344,13 @@ class TestFactor:
             f = uni.strip([rng.randint(-5, 5) for _ in range(rng.randint(2, 5))])
             if uni.deg(f) < 1 or not squarefree(f):
                 continue
-            got = sorted(tuple(g) for g in uni.factor_squarefree(f))
+            got = sorted(tuple(g) for g in factors_of(f))
             assert got == sorted(tuple(g) for g in reference_factor_univariate(f))
 
     @given(small_products())
     def test_matches_reference_property(self, f):
         assume(squarefree(f))
-        got = sorted(tuple(g) for g in uni.factor_squarefree(f))
+        got = sorted(tuple(g) for g in factors_of(f, Z))
         assert got == sorted(tuple(g) for g in reference_factor_univariate(f))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -334,20 +363,33 @@ class TestFactor:
             ]
             f = uni.mul(f, g)
         assert squarefree(f)
-        back = [1]
-        for g in uni.factor_squarefree(f):
+        content, factors = factor_dense(f)
+        back = [content]
+        for g in factors:
             back = uni.mul(back, g)
-        assert back == uni.primitive(f)
+        assert back == f
 
     @pytest.mark.parametrize("seed", range(6))
     def test_factors_are_irreducible_on_refactor(self, seed):
         rng = random.Random(50 + seed)
         f = [rng.randint(-4, 4) for _ in range(6)] + [1]
         assert squarefree(f)
-        for g in uni.factor_squarefree(f):
-            assert uni.factor_squarefree(g) == [g]
+        for g in factors_of(f):
+            assert factors_of(g) == [g]
 
     def test_large_coefficients(self):
         big = 10**6
         f = uni.mul([big, 1], [-big, 1])
-        assert sorted(uni.factor_squarefree(f)) == [[-big, 1], [big, 1]]
+        assert factors_of(f, Z) == [[-big, 1], [big, 1]]
+
+
+class TestRecombine:
+    """The subset search counts its trials against MAX_RECOMBINE_TRIALS."""
+
+    def test_no_hit_tries_every_subset_up_to_half(self, monkeypatch):
+        # four local factors and no true split: 4 singletons and 6 pairs
+        monkeypatch.setattr(uni, "MAX_RECOMBINE_TRIALS", 10)
+        assert uni._recombine(4, "whole", lambda combo, whole: None) == ([], "whole")
+        monkeypatch.setattr(uni, "MAX_RECOMBINE_TRIALS", 9)
+        with pytest.raises(ResourceCapExceeded, match="cap of 9 trials"):
+            uni._recombine(4, "whole", lambda combo, whole: None)
