@@ -288,7 +288,8 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
     # the dense y-lists of the coefficients in x, then the monic form
     # lc**(n-1) * part(x / lc, y), whose top row is [1]; sum(e) - e[xi] is
     # the y-degree, and 0 when x is the only variable
-    rows = [[0] * (part.degree_in(yn) + 1) for _ in range(n + 1)]
+    width = 1 + max(sum(e) - e[xi] for e in part.num)
+    rows = [[0] * width for _ in range(n + 1)]
     for e, c in part.num.items():
         rows[e[xi]][sum(e) - e[xi]] = c
     lc = rows[n]
@@ -325,7 +326,8 @@ def _factor_squarefree_bivariate(part: Polynomial) -> List[Polynomial]:
                 cand = _s_mul(cand, lifted[i], m)
             if cand[1] != 1:
                 return None
-            cand = [uni.strip(r) for r in cand[0]]
+            # strip copies: cand[0] is lifted[i]'s own rows for a singleton
+            cand = [uni.strip(list(r)) for r in cand[0]]
             q = _quo_rows(remaining, cand)
             return None if q is None else (cand, q)
 

@@ -267,6 +267,15 @@ class TestFactorBivariate:
                 ),
                 id="four_local_factors_nonmonic_shifted",
             ),
+            # four linear local factors at y = 0 whose lifts are integral
+            # series, so every singleton trial reaches the division and
+            # fails; the pairs that follow reuse those lifted factors
+            pytest.param(
+                xy("(x^2 - x + y^3)*(x^2 - 5*x + 6 + y^3)"),
+                1,
+                ((xy("x^2 - 5*x + 6 + y^3"), 1), (xy("x^2 - x + y^3"), 1)),
+                id="integral_singletons_fail_then_pairs",
+            ),
         ],
     )
     def test_exact_factors(self, f, content, factors):
